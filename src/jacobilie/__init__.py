@@ -10,6 +10,7 @@ from .bialgebra import (
     BracketTable,
     DimensionMismatchError,
     JacobiLieBialgebra,
+    SoundnessCheckError,
     VerificationReport,
     classical_double_brackets,
     classical_mixed_residual,
@@ -93,6 +94,7 @@ __all__ = [
     "NotAutomorphismError",
     "SearchRegion",
     "SingularMatrixError",
+    "SoundnessCheckError",
     "StructureTensor",
     "TableRow",
     "UnknownAssignment",

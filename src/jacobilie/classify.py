@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .bialgebra import (
     JacobiLieBialgebra,
+    SoundnessCheckError,
     cocycle_phi0_residual,
     cocycle_x0_residual,
     compatibility_residual,
@@ -100,11 +101,13 @@ def residual_system(g: LieAlgebra | StructureTensor, u: UnknownAssignment) -> tu
     """Concatenated exact residuals of the six matrix equations at ``u``.
 
     Order: dual Jacobi identity, mixed compatibility, cocycle orthogonality,
-    element/form compatibility, and the two cocycle conditions.  The zero
-    vector is returned exactly when ``u`` is a Step-1 solution for ``g``.
+    element/form compatibility, and the two cocycle conditions, each in the
+    index form that :func:`verify` evaluates.  The zero vector is returned
+    exactly when ``u`` is a Step-1 solution for ``g``.  The early-exit form
+    :func:`residual_system_is_zero` is checked against this one by
+    ``test_fast_zero_test_matches_full_system`` (``tests/test_classify.py``).
     """
     b = u.as_bialgebra(g)
-    rep = verify(b)
     out: list[Fraction] = []
 
     def flatten(grid):
@@ -120,18 +123,6 @@ def residual_system(g: LieAlgebra | StructureTensor, u: UnknownAssignment) -> tu
     flatten(compatibility_residual(b))
     flatten(cocycle_x0_residual(b))
     flatten(cocycle_phi0_residual(b))
-    # the report evaluates the same equations through the double-form path
-    assert (all(x == 0 for x in out)) == all(
-        rep.condition(n).ok
-        for n in (
-            "jacobi_gstar",
-            "mixed",
-            "orthogonality",
-            "compatibility",
-            "cocycle_x0",
-            "cocycle_phi0",
-        )
-    )
     return tuple(out)
 
 
@@ -485,9 +476,9 @@ def classify_d2(g: LieAlgebra | str, region: SearchRegion | None = None) -> Clas
     The six-unknown system is bilinear; eliminating the conditions that are
     linear in the dual constants for each zero pattern of the cocycle vectors
     yields a finite union of affine one-parameter families, normalized modulo
-    the automorphism group.  Every emitted family is confirmed against
-    :func:`residual_system` at its witness values, then reduced through
-    :func:`step3_reduce`.
+    the automorphism group.  Every emitted family is confirmed by
+    :func:`residual_system_is_zero` at its witness values (a failure raises
+    :class:`SoundnessCheckError`), then reduced through :func:`step3_reduce`.
     """
     alg = lookup(g) if isinstance(g, str) else g
     if alg.dim != 2:
@@ -500,9 +491,10 @@ def classify_d2(g: LieAlgebra | str, region: SearchRegion | None = None) -> Clas
         raise CatalogError("classification expects a catalog presentation (A1 or A2)")
     for fam in families:
         for t in fam.sample_values():
-            u = fam.instantiate(t)
-            assert residual_system_is_zero(alg.tensor, u), (fam, t)
-            assert all(x == 0 for x in residual_system(alg, u))
+            if not residual_system_is_zero(alg.tensor, fam.instantiate(t)):
+                raise SoundnessCheckError(
+                    f"{alg.name} family {fam} is not a Step-1 solution at {t}"
+                )
     kept, log = step3_reduce(alg, families, region)
     rows = []
     counters: dict[tuple[str, str], int] = {}
@@ -595,8 +587,9 @@ def step2_matrix_b(
 
     The dual solution is identified against the catalog first (change of
     basis C); at each sampled automorphism A the matrix B = A^-t C^-1 solves
-    the step-2 equation exactly with det B != 0, which is asserted via
-    :func:`step2_equation_residual` before the sample is returned.  Identification
+    the step-2 equation exactly with det B != 0, which is re-checked through
+    :func:`step2_equation_residual` before the sample is returned (a failure
+    raises :class:`SoundnessCheckError`).  Identification
     failure is reported as :class:`NoCatalogMatch` (there is then no invertible
     B toward any catalog target on the searched region).
     """
@@ -614,9 +607,11 @@ def step2_matrix_b(
     for assignment, A in assignments_list:
         B = A.inverse().transpose() * c_inv
         residuals = step2_equation_residual(gstar_solution, target, A, B)
-        assert all(r.is_zero() for r in residuals), "constructed B fails the step-2 equation"
+        if not all(r.is_zero() for r in residuals):
+            raise SoundnessCheckError("constructed B fails the step-2 equation")
         det_b = B.det()
-        assert det_b != 0
+        if det_b == 0:
+            raise SoundnessCheckError("constructed B is singular")
         samples.append(StepTwoSample(assignment, A, B, det_b))
     return StepTwoResult(ident, branch, tuple(samples))
 

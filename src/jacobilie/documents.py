@@ -36,7 +36,8 @@ class DocumentError(ValueError):
 
 
 def _parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, int):
+    # type(...) is int: JSON true/false load as bool, a subclass of int
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -95,7 +96,7 @@ def _parse_tensor_ref(obj, dim: int, where: str) -> TensorRef:
             if not isinstance(item, dict) or set(item) != {"i", "j", "k", "value"}:
                 raise DocumentError(f"{w}: expected {{i, j, k, value}}")
             i, j, k = item["i"], item["j"], item["k"]
-            if not all(isinstance(x, int) for x in (i, j, k)):
+            if not all(type(x) is int for x in (i, j, k)):
                 raise DocumentError(f"{w}: indices must be integers")
             if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise DocumentError(
@@ -153,7 +154,7 @@ def parse_document(source: str | dict, where: str = "document") -> BialgebraDocu
     if extra:
         raise DocumentError(f"{where}: unexpected fields {sorted(extra)}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise DocumentError(f"{where}.dim: must be a positive integer")
     g = _parse_tensor_ref(data["g"], dim, f"{where}.g")
     gstar = _parse_tensor_ref(data["gstar"], dim, f"{where}.gstar")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .bialgebra import JacobiLieBialgebra
+from .bialgebra import JacobiLieBialgebra, SoundnessCheckError
 from .catalog import (
     CatalogError,
     NotAutomorphismError,
@@ -78,6 +78,11 @@ def transform(b: JacobiLieBialgebra, A: Matrix) -> JacobiLieBialgebra:
     """
     if not is_automorphism(b.g, A):
         raise NotAutomorphismError("matrix does not preserve the bracket of g")
+    return _pushforward(b, A)
+
+
+def _pushforward(b: JacobiLieBialgebra, A: Matrix) -> JacobiLieBialgebra:
+    """:func:`transform` without the automorphism check."""
     U = A.inverse().transpose()
     return JacobiLieBialgebra(
         b.g, transform_tensor(b.gstar, A), U * b.alpha, A * b.beta
@@ -94,7 +99,7 @@ def is_equivalent_witness(
         raise ValueError("witness test requires both candidates to share g")
     if not is_automorphism(b1.g, A):
         return False
-    moved = transform(b1, A)
+    moved = _pushforward(b1, A)
     return moved.gstar == b2.gstar and moved.alpha == b2.alpha and moved.beta == b2.beta
 
 
@@ -175,7 +180,8 @@ def search_witness(
 
     Enumerates all branches over the region's rational grid in a fixed
     simplest-first order and returns the first witness found; every returned
-    witness passes :func:`is_equivalent_witness`.
+    witness passes :func:`is_equivalent_witness` (a grid witness that fails
+    it raises :class:`SoundnessCheckError`).
     """
     if b1.g != b2.g:
         raise ValueError("witness search requires both candidates to share g")
@@ -219,7 +225,8 @@ def search_witness(
             if A * b1.beta != target_beta:
                 continue
             if transform_tensor(b1.gstar, A) == b2.gstar:
-                assert is_equivalent_witness(b1, b2, A)
+                if not is_equivalent_witness(b1, b2, A):
+                    raise SoundnessCheckError(f"grid witness {A.rows} fails validation")
                 return EquivalenceVerdict(A, f"branch {branch_idx} of {region.describe(family)}")
     return EquivalenceVerdict(None, region.describe(family))
 

@@ -174,6 +174,7 @@ def jacobi_residual_adjoint(t: StructureTensor) -> Grid4:
 
     is the (i, j) slice of the residual; it agrees entrywise with
     :func:`jacobi_residual`.  All ordered pairs are checked, including i == j.
+    Reference form used by tests; the library evaluates the index form.
     """
     d = t.dim
     X = adjoint_x(t)

@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from jacobilie import JacobiLieBialgebra, StructureTensor, Vector
+from jacobilie import JacobiLieBialgebra, StructureTensor, Vector, load_table_rows
 
 ENTRY_POOL = (
     Fraction(0),
@@ -38,6 +39,16 @@ def random_candidate(rng: random.Random, dim: int) -> JacobiLieBialgebra:
         random_vector(rng, dim),
         random_vector(rng, dim),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def table_samples() -> tuple[JacobiLieBialgebra, ...]:
+    """The first admissible sample of every bundled table row (80 candidates)."""
+    out = []
+    for row in load_table_rows():
+        assignment = next(a for a, ok in row.sample_assignments() if ok)
+        out.append(row.instantiate(assignment))
+    return tuple(out)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_antisymmetric, random_candidate
+from conftest import random_antisymmetric, random_candidate, table_samples
 from jacobilie import (
     DimensionMismatchError,
     JacobiLieBialgebra,
@@ -16,10 +16,15 @@ from jacobilie import (
     verify,
 )
 from jacobilie.bialgebra import (
+    cocycle_phi0_residual,
+    cocycle_phi0_residual_adjoint,
+    cocycle_x0_residual,
+    cocycle_x0_residual_adjoint,
     compatibility_residual,
     compatibility_residual_adjoint,
     mixed_residual_adjoint,
     orthogonality_residual,
+    orthogonality_residual_adjoint,
 )
 from jacobilie.structure import grid_is_zero
 
@@ -97,21 +102,34 @@ def test_mixed_residual_worked_reduction_row():
     assert verify(b).passed
 
 
+def oracle_candidates(rng, count):
+    """Random candidates, then every table row's first sample and its swap
+    (the swap puts g* in the role of g)."""
+    randoms = [random_candidate(rng, rng.choice((2, 3))) for _ in range(count)]
+    return randoms + [c for b in table_samples() for c in (b, b.swap())]
+
+
 def test_mixed_forms_agree_on_arbitrary_inputs(rng):
-    for _ in range(60):
-        b = random_candidate(rng, rng.choice((2, 3)))
+    # the adjoint-matrix form is the oracle for the index form verify uses
+    for b in oracle_candidates(rng, 60):
         assert mixed_residual(b) == mixed_residual_adjoint(b)
 
 
 def test_compatibility_forms_sign_relation(rng):
-    for _ in range(30):
-        b = random_candidate(rng, rng.choice((2, 3)))
+    # the matrix forms of the orthogonality, compatibility and both cocycle
+    # conditions are oracles for the index forms verify uses
+    for b in oracle_candidates(rng, 30):
+        d = b.dim
+        assert orthogonality_residual(b) == orthogonality_residual_adjoint(b)
         loops = compatibility_residual(b)
         mat = compatibility_residual_adjoint(b)
-        d = b.dim
+        cx, cx_m = cocycle_x0_residual(b), cocycle_x0_residual_adjoint(b)
+        cp, cp_m = cocycle_phi0_residual(b), cocycle_phi0_residual_adjoint(b)
         for r in range(d):
             for c in range(d):
                 assert mat[r, c] == -loops[c][r]
+                assert cx_m[r, c] == -cx[r][c]
+                assert cp_m[r, c] == -cp[r][c]
 
 
 def test_reduction_to_classical_forms(rng):

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ENTRY_POOL
 from jacobilie import (
     CatalogError,
     ConstraintError,
     Matrix,
     SingularMatrixError,
+    adjoint_y,
     automorphism_family,
     automorphism_sample,
     automorphism_samples,
@@ -16,6 +18,39 @@ from jacobilie import (
     lookup,
 )
 from jacobilie.catalog import canonical_name, identify_presentation
+
+
+def matrix_form_is_automorphism(g, A) -> bool:
+    """Oracle for :func:`is_automorphism`: the matrix form of the relation,
+    ``A Y^k A^t == sum_i A_i^k Y^i`` for every k."""
+    d = g.dim
+    Y = adjoint_y(g.tensor)
+    At = A.transpose()
+    for k in range(d):
+        rhs = Matrix.zero(d)
+        for i in range(d):
+            rhs = rhs + Y[i].scale(A[i, k])
+        if A * Y[k] * At != rhs:
+            return False
+    return True
+
+
+def check_against_matrix_oracle(g, samples, rng, n_random=20):
+    """Every sample is an automorphism in both forms; random invertible
+    matrices get the same verdict from both, and a nonabelian g rejects some."""
+    for A in samples:
+        assert is_automorphism(g, A)
+        assert matrix_form_is_automorphism(g, A)
+    rejected = 0
+    while n_random:
+        A = Matrix([[rng.choice(ENTRY_POOL) for _ in range(g.dim)] for _ in range(g.dim)])
+        if A.det() == 0:
+            continue
+        n_random -= 1
+        verdict = is_automorphism(g, A)
+        assert verdict == matrix_form_is_automorphism(g, A), A
+        rejected += not verdict
+    assert rejected or g.tensor.is_zero()
 
 
 def test_lookup_abelian():
@@ -137,24 +172,22 @@ def test_automorphism_sample_bad_branch():
 
 
 @pytest.mark.parametrize("name", [n for n in catalog_names() if n not in ("VIII", "IX")])
-def test_families_validate_on_samples(name):
+def test_families_validate_on_samples(name, rng):
     g = lookup(name, 2) if name in ("VIa", "VIIa") else lookup(name)
     fam = automorphism_family(name)
     samples = automorphism_samples(name, count=5)
     assert len(samples) >= 5 * len(fam.branches)
-    for A in samples:
-        assert is_automorphism(g, A)
+    check_against_matrix_oracle(g, samples, rng)
 
 
 @pytest.mark.parametrize("name", ["VIII", "IX"])
-def test_predicate_only_groups(name):
+def test_predicate_only_groups(name, rng):
     g = lookup(name)
     fam = automorphism_family(name)
     assert fam.predicate_only
     samples = automorphism_samples(name)
     assert len(samples) >= 5
-    for A in samples:
-        assert is_automorphism(g, A)
+    check_against_matrix_oracle(g, samples, rng)
 
 
 def test_parametrized_family_samples_are_parameter_independent():

@@ -5,6 +5,7 @@ import pytest
 
 from jacobilie import (
     Matrix,
+    SoundnessCheckError,
     StructureTensor,
     UnknownAssignment,
     Vector,
@@ -348,3 +349,19 @@ def test_table7_frozen_sample_values():
     assert b.gstar[0, 2, 1] == 1
     assert b.alpha == Vector([1, 0, 0]) and b.beta.is_zero()
     assert verify(b).passed
+
+
+def test_failed_self_checks_raise(monkeypatch):
+    # the re-checks of emitted families and step-2 matrices raise a dedicated
+    # error (they are not asserts, so python -O keeps them)
+    import jacobilie.classify as classify
+
+    gstar = worked_step1(1).gstar
+    with monkeypatch.context() as m:
+        m.setattr(classify, "residual_system_is_zero", lambda g, u: False)
+        with pytest.raises(SoundnessCheckError):
+            classify_d2("A2")
+    with monkeypatch.context() as m:
+        m.setattr(classify, "step2_equation_residual", lambda *a: (Matrix.identity(3),))
+        with pytest.raises(SoundnessCheckError):
+            step2_matrix_b(lookup("III"), gstar)

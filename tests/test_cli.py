@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jacobilie
 from jacobilie import (
     JacobiLieBialgebra,
     StructureTensor,
@@ -198,3 +203,27 @@ def test_text_and_json_modes_agree(passing_doc, failing_doc, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert text_code == json_code
         assert payload["passed"] == ("result: pass" in text_out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--dim", "2", "--algebra", "A2"],
+        ["verify-tables", "--table", "4"],
+    ],
+)
+def test_output_unchanged_under_optimize_flag(argv):
+    # soundness checks must not be bare asserts, which python -O strips
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    src = str(Path(jacobilie.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "jacobilie", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = ((r.returncode, r.stdout, r.stderr) for r in runs)
+    assert plain[0] == 0
+    assert optimized == plain

@@ -116,6 +116,10 @@ def test_document_from_bialgebra_round_trip():
             ),
             "duplicate",
         ),
+        # JSON booleans load as bool, a subclass of int: never a number here
+        (lambda d: d.update(alpha=[True, "0", "0"]), "alpha[0]"),
+        (lambda d: d["gstar"]["constants"][0].update(i=True), "indices must be integers"),
+        (lambda d: d.update(dim=True), "dim: must be a positive integer"),
     ],
 )
 def test_parse_rejects_malformed(mutate, message):

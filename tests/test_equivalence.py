@@ -8,6 +8,7 @@ from jacobilie import (
     NoCatalogMatch,
     NotAutomorphismError,
     SearchRegion,
+    SoundnessCheckError,
     StructureTensor,
     Vector,
     automorphism_sample,
@@ -285,3 +286,15 @@ def test_search_trivial_self_equivalence_returns_identity():
 def test_identify_rejects_uncataloged_dimension():
     with pytest.raises(NoCatalogMatch):
         identify_dual(StructureTensor.zero(1))
+
+
+def test_search_witness_failed_validation_raises(monkeypatch):
+    # a grid hit that fails the exact witness check raises a dedicated error
+    # instead of being returned (the check is not an assert)
+    import jacobilie.equivalence as equivalence
+
+    b = a2_row(2)
+    moved = transform(b, automorphism_sample("A2", 0, {"a": 2, "b": 1}))
+    monkeypatch.setattr(equivalence, "is_equivalent_witness", lambda *a: False)
+    with pytest.raises(SoundnessCheckError):
+        search_witness(b, moved)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_antisymmetric
+from conftest import random_antisymmetric, table_samples
 from jacobilie import (
     StructureTensor,
     adjoint_x,
@@ -115,8 +115,11 @@ def test_jacobi_brute_force_oracle():
 
 
 def test_jacobi_loop_matches_matrix_form(rng):
-    for _ in range(40):
-        t = random_antisymmetric(rng, rng.choice((2, 3)))
+    # the matrix form is the oracle for the index form that verify evaluates:
+    # random tensors, plus g and g* of the first sample of every table row
+    tensors = [random_antisymmetric(rng, rng.choice((2, 3))) for _ in range(40)]
+    tensors += [t for b in table_samples() for t in (b.g, b.gstar)]
+    for t in tensors:
         assert jacobi_residual(t) == jacobi_residual_adjoint(t)
 
 

@@ -22,7 +22,6 @@ from .structure import (
     StructureTensor,
     adjoint_x,
     adjoint_y,
-    format_linear_combination,
     grid_max_abs,
     jacobi_residual,
 )
@@ -194,7 +193,6 @@ def mixed_residual_adjoint(b: JacobiLieBialgebra) -> Grid4:
         if al[k] != 0:
             C = C + X[k].scale(al[k])
     C = C - Matrix([[be[i] * al[m] for m in range(d)] for i in range(d)])
-    out = [[None] * d for _ in range(d)]
     grid = [
         [[[None] * d for _ in range(d)] for _ in range(d)] for _ in range(d)
     ]
@@ -424,28 +422,6 @@ class BracketTable:
             and self.dim == other.dim
             and self.entries == other.entries
         )
-
-    def basis_symbol(self, a: int) -> str:
-        return f"x{a + 1}" if a < self.dim else f"y{a - self.dim + 1}"
-
-    def pretty(self) -> list[str]:
-        d = self.dim
-        lines = []
-        for a in range(2 * d):
-            for bb in range(a + 1, 2 * d):
-                coeffs = self.entries[a][bb]
-                if coeffs.is_zero():
-                    continue
-                xpart = format_linear_combination(coeffs.entries[:d], "x")
-                ypart = format_linear_combination(coeffs.entries[d:], "y")
-                if xpart == "0":
-                    rhs = ypart
-                elif ypart == "0":
-                    rhs = xpart
-                else:
-                    rhs = f"{xpart} + {ypart}" if not ypart.startswith("-") else f"{xpart} - {ypart[1:]}"
-                lines.append(f"[{self.basis_symbol(a)},{self.basis_symbol(bb)}] = {rhs}")
-        return lines
 
 
 def _assemble_table(b: JacobiLieBialgebra, mixed_coeffs) -> BracketTable:

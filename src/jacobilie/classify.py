@@ -590,8 +590,9 @@ def step2_matrix_b(
     the step-2 equation exactly with det B != 0, which is re-checked through
     :func:`step2_equation_residual` before the sample is returned (a failure
     raises :class:`SoundnessCheckError`).  Identification
-    failure is reported as :class:`NoCatalogMatch` (there is then no invertible
-    B toward any catalog target on the searched region).
+    failure is reported as :class:`NoCatalogMatch` (for a solvable dual there
+    is then no invertible rational B toward any catalog target; see
+    :func:`identify_dual`).
     """
     ident = identification or identify_dual(gstar_solution)
     target = lookup(ident.name, ident.param)

@@ -89,6 +89,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    if args.grid < 1:
+        print("--grid must be positive", file=sys.stderr)
+        return USAGE_ERROR
     doc1 = _load_document(args.document1)
     doc2 = _load_document(args.document2)
     b1, b2 = doc1.bialgebra(), doc2.bialgebra()

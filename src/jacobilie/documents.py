@@ -12,11 +12,11 @@ Schema (all rationals are exact strings, "n" or "p/q"):
       "beta": ["-2", "0", "0"]
     }
 
-Explicit constants are 1-based with i < j; the loader completes the j > i
-half by antisymmetry.  Serialization is canonical: sorted keys, constants
-sorted by (i, j, k), values in lowest terms, two-space indent, trailing
-newline.  Parsing then serializing a canonically formatted document is
-byte-identical.
+``dim`` is 1, 2 or 3.  Explicit constants are 1-based with i < j; the
+loader completes the j > i half by antisymmetry.  Serialization is
+canonical: sorted keys, constants sorted by (i, j, k), values in lowest
+terms, two-space indent, trailing newline.  Parsing then serializing a
+canonically formatted document is byte-identical.
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ def parse_document(source: str | dict, where: str = "document") -> BialgebraDocu
     dim = data["dim"]
     if type(dim) is not int or dim < 1:
         raise DocumentError(f"{where}.dim: must be a positive integer")
+    if dim > 3:
+        raise DocumentError(f"{where}.dim: must be 1, 2 or 3")
     g = _parse_tensor_ref(data["g"], dim, f"{where}.g")
     gstar = _parse_tensor_ref(data["gstar"], dim, f"{where}.gstar")
     for field in ("alpha", "beta"):

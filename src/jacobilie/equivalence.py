@@ -5,8 +5,10 @@ A of g: the dual tensor is conjugated by the inverse-transpose action, the
 element components by A^{-t}, the 1-form components by A.  ``search_witness``
 looks for a witness automorphism on a rational parameter grid (sound but not
 complete: it never asserts inequivalence).  ``identify_dual`` matches a dual
-tensor against the catalog up to isomorphism and produces an exact invertible
-change of basis.
+tensor against the catalog up to isomorphism.  For solvable duals it builds
+the exact invertible change of basis from the invariants (g = n + R*x with n
+an abelian ideal containing [g,g]) or proves that no rational one exists;
+simple duals are matched in their catalog presentation only.
 """
 
 from __future__ import annotations
@@ -236,14 +238,13 @@ def search_witness(
 # ---------------------------------------------------------------------------
 
 class NoCatalogMatch(Exception):
-    """identify_dual exhausted its search region without a match.
+    """identify_dual returned no catalog algebra with a change of basis.
 
-    This reports a failed search, not a proof that no isomorphism exists.
+    For a solvable dual this is proved: either its exact invariants fit no
+    catalog class, or no rational change of basis onto the class exists.  For
+    a non-catalog presentation of VIII or IX it only says that none is
+    constructed (the message names the class it is isomorphic to over R).
     """
-
-    def __init__(self, message: str, searched: str = "") -> None:
-        super().__init__(message)
-        self.searched = searched
 
 
 @dataclass(frozen=True)
@@ -307,13 +308,15 @@ def _in_span(v: Vector, basis: list[Vector]) -> bool:
 
 def _bracket(t: StructureTensor, u: Vector, v: Vector) -> Vector:
     d = t.dim
-    return Vector(
-        sum(
-            (u[i] * v[j] * t.entries[i][j][k] for i in range(d) for j in range(d)),
-            Fraction(0),
-        )
-        for k in range(d)
-    )
+    out = [Fraction(0)] * d
+    for i in range(d):
+        if u[i] == 0:
+            continue
+        for j in range(d):
+            c = u[i] * v[j]
+            if c != 0:
+                out = [a + c * b for a, b in zip(out, t.entries[i][j])]
+    return Vector(out)
 
 
 def _killing_matrix(t: StructureTensor) -> Matrix:
@@ -324,192 +327,135 @@ def _killing_matrix(t: StructureTensor) -> Matrix:
     )
 
 
-def _isomorphism_class(t: StructureTensor) -> tuple[str, Fraction | None] | None:
+@dataclass(frozen=True)
+class _Split:
+    """g = n + R*x with n an abelian ideal containing [g,g].
+
+    ``M`` is ad x restricted to n, in the basis ``n``: column j holds the
+    coordinates of [x, n_j].
+    """
+
+    x: Vector
+    n: tuple[Vector, ...]
+    M: Matrix
+
+
+def _split(t: StructureTensor, derived: list[Vector]) -> _Split | None:
+    """The split of a solvable algebra with 1 <= dim [g,g] < dim g, or None
+    when the derived span is not abelian (no catalog class has that profile).
+
+    n is the derived span, except in 3D with a one-dimensional derived span
+    w, where n is w plus the first kernel vector of ad w independent of w.
+    """
+    d = t.dim
+    n = list(derived)
+    if len(n) == 1 and d == 3:
+        w = n[0]
+        images = [_bracket(t, w, Vector.unit(d, j)) for j in range(d)]
+        ad_w = [[img[k] for img in images] for k in range(d)]
+        _, kernel = solve_affine(ad_w, [Fraction(0)] * d)
+        n.append(next(Vector(u) for u in kernel if not _in_span(Vector(u), [w])))
+    if len(n) == 2 and not _bracket(t, n[0], n[1]).is_zero():
+        return None
+    x = next(Vector.unit(d, i) for i in range(d) if not _in_span(Vector.unit(d, i), n))
+    coords = [[b[k] for b in n] for k in range(d)]
+    cols = [solve_affine(coords, list(_bracket(t, x, u)))[0] for u in n]
+    return _Split(x, tuple(n), Matrix([[c[i] for c in cols] for i in range(len(n))]))
+
+
+def _isomorphism_class(
+    t: StructureTensor,
+) -> tuple[str, Fraction | None, _Split | None] | None:
     """Cheap exact invariants deciding which catalog algebra ``t`` can match.
 
-    Returns (name, param) or None when no catalog class fits (e.g. the
-    restricted adjoint is singular in a way no table entry realizes, or a
-    family parameter comes out irrational).
+    Returns (name, param, split), where split is the :class:`_Split` of a
+    solvable non-abelian ``t`` and None otherwise, or None when no catalog
+    class fits (e.g. a family parameter that comes out irrational).
     """
     d = t.dim
     derived = _derived_span(t)
     k = len(derived)
-    if d == 2:
-        return ("A1", None) if k == 0 else ("A2", None)
     if k == 0:
-        return ("I", None)
-    if k == 1:
-        w = derived[0]
-        central = all(
-            _bracket(t, w, Vector.unit(d, i)).is_zero() for i in range(d)
+        return ("A1" if d == 2 else "I", None, None)
+    if k == 3:
+        # simple algebras; sign of the Killing form separates them
+        K = _killing_matrix(t)
+        if K.det() == 0:
+            return None
+        neg = -K
+        minors = (
+            neg[0, 0],
+            neg[0, 0] * neg[1, 1] - neg[0, 1] * neg[1, 0],
+            neg.det(),
         )
-        return ("II", None) if central else ("III", None)
-    if k == 2:
-        # derived span must be abelian for every catalog class of this profile
-        if not _bracket(t, derived[0], derived[1]).is_zero():
-            return None
-        comp = next(
-            (
-                Vector.unit(d, i)
-                for i in range(d)
-                if not _in_span(Vector.unit(d, i), derived)
-            ),
-            None,
-        )
-        if comp is None:
-            return None
-        # matrix of ad(comp) restricted to the derived span, in that basis
-        cols = []
-        for bvec in derived:
-            img = _bracket(t, comp, bvec)
-            rows = [[b[k2] for b in derived] for k2 in range(d)]
-            sol = solve_affine(rows, list(img))
-            if sol is None:
-                return None
-            cols.append(sol[0])
-        M = Matrix([[cols[j][i] for j in range(2)] for i in range(2)])
-        tr = M.trace()
-        det = M.det()
-        if det == 0:
-            return None
-        if tr == 0:
-            return ("VI0", None) if det < 0 else ("VII0", None)
-        r = tr * tr / det
-        if r == 4:
-            half = tr / 2
-            diag = Matrix([[half, 0], [0, half]])
-            return ("V", None) if M == diag else ("IV", None)
-        if r > 4 or r < 0:
-            a2 = r / (r - 4)
-            a = rational_sqrt(a2)
-            if a is None or a <= 0 or a == 1:
-                return None
-            return ("VIa", a)
-        a2 = r / (4 - r)
-        a = rational_sqrt(a2)
-        if a is None or a <= 0:
-            return None
-        return ("VIIa", a)
-    # k == 3: simple algebras; sign of the Killing form separates them
-    K = _killing_matrix(t)
-    if K.det() == 0:
+        definite = all(m > 0 for m in minors)
+        return ("IX" if definite else "VIII", None, None)
+    split = _split(t, derived)
+    if split is None:
         return None
-    neg = -K
-    minors = (
-        neg[0, 0],
-        neg[0, 0] * neg[1, 1] - neg[0, 1] * neg[1, 0],
-        neg.det(),
-    )
-    definite = all(m > 0 for m in minors)
-    return ("IX", None) if definite else ("VIII", None)
+    if d == 2:
+        return ("A2", None, split)
+    M = split.M
+    tr = M.trace()
+    det = M.det()
+    if k == 1:
+        # ad x on n is nilpotent iff [g,g] is central
+        return ("II" if tr == 0 else "III", None, split)
+    if det == 0:
+        return None
+    if tr == 0:
+        return ("VI0" if det < 0 else "VII0", None, split)
+    r = tr * tr / det
+    if r == 4:
+        return ("V" if M == Matrix.identity(2).scale(tr / 2) else "IV", None, split)
+    if r > 4 or r < 0:
+        a = rational_sqrt(r / (r - 4))
+        if a is None or a <= 0 or a == 1:
+            return None
+        return ("VIa", a, split)
+    a = rational_sqrt(r / (4 - r))
+    if a is None or a <= 0:
+        return None
+    return ("VIIa", a, split)
 
 
-_IDENTIFY_LEVELS = (
-    (Fraction(0), Fraction(1), Fraction(-1)),
-    (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)),
-    (
-        Fraction(0),
-        Fraction(1),
-        Fraction(-1),
-        Fraction(2),
-        Fraction(-2),
-        Fraction(1, 2),
-        Fraction(-1, 2),
-    ),
-)
+def _adapted_basis(t: StructureTensor, split: _Split, scale: Fraction) -> Matrix:
+    """Rows (y, v, [y, v]) with y = scale * x and v the first of n1, n2,
+    n1 + n2 that is not an eigenvector of ad y on n; rows (y, n1, ...) when
+    ad y on n is scalar.
 
-
-def _solve_last_row(
-    source: StructureTensor, target: StructureTensor, first_rows: list[list[Fraction]]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Given all rows of C but the last, the intertwining equations are affine
-    in the last row; solve them exactly."""
-    d = source.dim
-    ft = source.entries
-    f = target.entries
-    last = d - 1
-    C = first_rows
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for l in range(d):
-                coef = [Fraction(0)] * d
-                const = Fraction(0)
-                for k in range(d):
-                    for p in range(d):
-                        v = ft[k][p][l]
-                        if v == 0:
-                            continue
-                        if i != last and j != last:
-                            const += C[i][k] * C[j][p] * v
-                        elif i == last and j != last:
-                            coef[k] += C[j][p] * v
-                        else:  # j == last, i != last (i < j)
-                            coef[p] += C[i][k] * v
-                for m in range(d):
-                    w = f[i][j][m]
-                    if w == 0:
-                        continue
-                    if m == last:
-                        coef[l] -= w
-                    else:
-                        const -= w * C[m][l]
-                rows.append(coef)
-                rhs.append(-const)
-    return solve_affine(rows, rhs)
-
-
-def _search_change_of_basis(
-    source: StructureTensor, target: StructureTensor, values: tuple[Fraction, ...]
-) -> Matrix | None:
-    """Rational-grid search for an invertible intertwiner from source to target.
-
-    The first d-1 rows are enumerated over the value grid; the last row then
-    satisfies an affine system and is solved exactly, with small combinations
-    of the nullspace tried for invertibility.  Every hit is validated against
-    the full intertwining residual before being returned.
+    n is abelian and, by Cayley-Hamilton, [y, [y, v]] = tr [y, v] - det v
+    with tr and det those of scale * M.  The structure constants in this basis
+    therefore depend only on that trace and determinant, so two splits whose
+    scaled M share both give the same constants.
     """
-    d = source.dim
-    combo_values = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
-    for flat in itertools.product(values, repeat=d * (d - 1)):
-        first_rows = [list(flat[r * d : (r + 1) * d]) for r in range(d - 1)]
-        sol = _solve_last_row(source, target, first_rows + [[Fraction(0)] * d])
-        if sol is None:
-            continue
-        particular, nullspace = sol
-        candidates: itertools.product | list
-        if nullspace:
-            candidates = itertools.product(combo_values, repeat=len(nullspace))
-        else:
-            candidates = [()]
-        for combo in candidates:
-            lastrow = particular[:]
-            for c, nv in zip(combo, nullspace):
-                if c != 0:
-                    lastrow = [a + c * bb for a, bb in zip(lastrow, nv)]
-            C = Matrix(first_rows + [lastrow])
-            if C.det() == 0:
-                continue
-            if all(m.is_zero() for m in change_of_basis_residual(source, target, C)):
-                return C
-    return None
+    y = split.x.scale(scale)
+    M = split.M.scale(scale)
+    if M == Matrix.identity(M.dim).scale(M[0, 0]):
+        return Matrix([y, *split.n])
+    n1, n2 = split.n
+    v = next(v for v in (n1, n2, n1 + n2) if not _in_span(_bracket(t, y, v), [v]))
+    return Matrix([y, v, _bracket(t, y, v)])
 
 
-def identify_dual(
-    gstar: StructureTensor, max_level: int = len(_IDENTIFY_LEVELS)
-) -> DualIdentification:
+def identify_dual(gstar: StructureTensor) -> DualIdentification:
     """Identify the isomorphism class of a dual tensor against the catalog.
 
-    Requires the tensor to satisfy the Jacobi identity.  The candidate class
-    is decided first from exact invariants (derived-span dimension and, for
-    the one-parameter families, the scale-invariant trace ratio of the
-    restricted adjoint, from which the family parameter is solved); an
-    invertible change of basis realizing the isomorphism is then found on an
-    expanding rational grid and validated exactly.
+    Requires the tensor to satisfy the Jacobi identity.  The class is decided
+    from exact invariants (derived-span dimension and, for the solvable
+    classes, the trace and determinant of ad x restricted to an abelian ideal
+    n containing [g,g], from which the family parameter is solved).  A
+    catalog presentation returns the identity.  Otherwise g = n + R*x, x is
+    scaled so that ad x on n has the catalog's trace and determinant, and the
+    change of basis C = Q^-1 P is built from the adapted bases P of the dual
+    and Q of the catalog tensor; every C is validated exactly (a failure
+    raises :class:`SoundnessCheckError`).
 
-    Raises NoCatalogMatch when no class fits or the grid search is exhausted;
-    this reports the failed search only, never non-existence.
+    Raises NoCatalogMatch when no catalog class fits, when the scale is
+    irrational (no rational change of basis exists: any isomorphism maps n
+    onto n and x to a multiple of x plus n), or for a non-catalog
+    presentation of the simple algebras VIII and IX, where no change of basis
+    is constructed.
     """
     if not is_lie_algebra(gstar):
         raise ValueError("dual tensor does not satisfy the Jacobi identity")
@@ -520,16 +466,34 @@ def identify_dual(
         raise NoCatalogMatch(
             "no catalog class matches the exact invariants of the tensor"
         )
-    name, param = klass
+    name, param, split = klass
     target = lookup(name, param)
     if gstar == target.tensor:
         return DualIdentification(name, param, Matrix.identity(gstar.dim))
-    for level in range(max_level):
-        values = _IDENTIFY_LEVELS[level]
-        C = _search_change_of_basis(gstar, target.tensor, values)
-        if C is not None:
-            return DualIdentification(name, param, C)
-    raise NoCatalogMatch(
-        f"invariants point at {name} but no change of basis was found",
-        searched=f"{max_level} grid levels up to values {_IDENTIFY_LEVELS[max_level - 1]}",
+    if split is None:
+        raise NoCatalogMatch(
+            f"isomorphic over R to {name}; no rational change of basis is "
+            "constructed for simple algebras"
+        )
+    target_split = _split(target.tensor, _derived_span(target.tensor))
+    M, T = split.M, target_split.M
+    if T.trace() != 0:
+        scale = T.trace() / M.trace()
+    elif T.det() != 0:
+        scale = rational_sqrt(T.det() / M.det())
+        if scale is None:
+            raise NoCatalogMatch(
+                f"isomorphic over R to {name}, but no rational change of basis "
+                f"exists: the determinant ratio {T.det() / M.det()} of ad x on "
+                "the derived ideal is not a rational square"
+            )
+    else:
+        scale = Fraction(1)
+    C = _adapted_basis(target.tensor, target_split, Fraction(1)).inverse() * (
+        _adapted_basis(gstar, split, scale)
     )
+    if C.det() == 0 or not all(
+        m.is_zero() for m in change_of_basis_residual(gstar, target.tensor, C)
+    ):
+        raise SoundnessCheckError(f"constructed change of basis {C.rows} fails validation")
+    return DualIdentification(name, param, C)

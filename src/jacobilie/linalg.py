@@ -109,9 +109,6 @@ class Vector:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
-    def max_abs(self) -> Fraction:
-        return max((abs(a) for a in self.entries), default=Fraction(0))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.entries == other.entries
 
@@ -243,9 +240,6 @@ class Matrix:
                     m[k] = [a - factor * b for a, b in zip(m[k], m[c])]
         return det
 
-    def is_invertible(self) -> bool:
-        return self.det() != 0
-
     def inverse(self) -> "Matrix":
         d = self.dim
         aug = [list(row) + [Fraction(i == j) for j in range(d)] for i, row in enumerate(self.rows)]
@@ -267,9 +261,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)
-
-    def max_abs(self) -> Fraction:
-        return max((abs(a) for row in self.rows for a in row), default=Fraction(0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows

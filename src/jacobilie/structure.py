@@ -93,12 +93,6 @@ class StructureTensor:
     def is_zero(self) -> bool:
         return all(x == 0 for plane in self.entries for row in plane for x in row)
 
-    def max_abs(self) -> Fraction:
-        return max(
-            (abs(x) for plane in self.entries for row in plane for x in row),
-            default=Fraction(0),
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StructureTensor)

@@ -126,6 +126,27 @@ def test_equiv_unknown_pair(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_equiv_grid_below_one_is_usage_error(tmp_path, passing_doc, grid, capsys):
+    # the same pair is proved equivalent at the default grid
+    b = JacobiLieBialgebra(
+        lookup("III").tensor,
+        StructureTensor.from_brackets(
+            3, {(0, 1, 0): 1, (0, 2, 0): 1, (1, 2, 1): 1, (1, 2, 2): -1}
+        ),
+        Vector([0, -1, -1]),
+        Vector([-2, 0, 0]),
+    )
+    moved = transform(b, automorphism_sample("III", 0, {"a": 1, "b": 0, "c": 2, "d": 1}))
+    other = write_doc(tmp_path, "moved.json", moved, g_name="III")
+    assert main(["equiv", passing_doc, other, "--grid", "3"]) == 0
+    capsys.readouterr()
+    assert main(["equiv", passing_doc, other, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert "--grid must be positive" in captured.err
+    assert "unknown" not in captured.out
+
+
 def test_equiv_requires_shared_g(tmp_path, passing_doc, failing_doc):
     assert main(["equiv", passing_doc, failing_doc]) == 2
 

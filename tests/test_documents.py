@@ -92,6 +92,16 @@ def test_document_from_bialgebra_round_trip():
     assert parse_document(serialize_document(doc)).bialgebra() == b
 
 
+def _explicit_of_dim(data, dim):
+    data.update(
+        dim=dim,
+        g={"constants": [{"i": 1, "j": 2, "k": 1, "value": "1"}]},
+        gstar={"constants": []},
+        alpha=["0"] * dim,
+        beta=["0"] * dim,
+    )
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -120,6 +130,9 @@ def test_document_from_bialgebra_round_trip():
         (lambda d: d.update(alpha=[True, "0", "0"]), "alpha[0]"),
         (lambda d: d["gstar"]["constants"][0].update(i=True), "indices must be integers"),
         (lambda d: d.update(dim=True), "dim: must be a positive integer"),
+        # explicit tensors of any size would parse, and verifying one costs O(d^5)
+        (lambda d: _explicit_of_dim(d, 4), "dim: must be 1, 2 or 3"),
+        (lambda d: _explicit_of_dim(d, 60), "dim: must be 1, 2 or 3"),
     ],
 )
 def test_parse_rejects_malformed(mutate, message):

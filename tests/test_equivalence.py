@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from jacobilie import (
     transform,
     verify,
 )
+from jacobilie.equivalence import _isomorphism_class
 from jacobilie.tables import load_table_rows
 
 
@@ -268,6 +270,108 @@ def test_identify_reports_failed_search():
 
     assert is_lie_algebra(gstar)
     with pytest.raises(NoCatalogMatch):
+        identify_dual(gstar)
+
+
+def _assert_identified(gstar, name, param):
+    ident = identify_dual(gstar)
+    assert (ident.name, ident.param) == (name, param)
+    C = ident.change_of_basis
+    assert C.det() != 0
+    target = lookup(name, param).tensor
+    assert all(m.is_zero() for m in change_of_basis_residual(gstar, target, C))
+
+
+def _rebase(t: StructureTensor, P: Matrix) -> StructureTensor:
+    """Structure constants of ``t`` in the basis given by the rows of P."""
+    d = t.dim
+    P_inv = P.inverse()
+    rows = [P.row(i) for i in range(d)]
+    brackets = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            image = Vector(
+                sum(
+                    (rows[i][a] * rows[j][b] * t[a, b, k] for a in range(d) for b in range(d)),
+                    Fraction(0),
+                )
+                for k in range(d)
+            )
+            for m, c in enumerate(P_inv.transpose() * image):
+                brackets[(i, j, m)] = c
+    return StructureTensor.from_brackets(d, brackets)
+
+
+def test_identify_every_admissible_table_dual():
+    # the dual of every admissible sample of all 80 rows is identified with a
+    # validated change of basis, in the class its exact invariants give
+    count = 0
+    for row in load_table_rows():
+        for assignment, admissible in row.sample_assignments():
+            if not admissible:
+                continue
+            gstar = row.instantiate(assignment).gstar
+            name, param, _ = _isomorphism_class(gstar)
+            _assert_identified(gstar, name, param)
+            count += 1
+    assert count == 258
+
+
+@pytest.mark.parametrize(
+    "name,param",
+    [
+        ("A2", None), ("II", None), ("III", None), ("IV", None), ("V", None),
+        ("VI0", None), ("VII0", None), ("VIIa", Fraction(3, 2)),
+        ("VIa", Fraction(2)), ("VIa", Fraction(1, 3)),
+    ],
+)
+def test_identify_random_rational_conjugations(name, param):
+    # seeded random invertible rational bases of every solvable catalog class
+    rng = random.Random(f"{name}-{param}")
+    pool = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    alg = lookup(name, param)
+    checked = 0
+    while checked < 20:
+        P = Matrix([[rng.choice(pool) for _ in range(alg.dim)] for _ in range(alg.dim)])
+        if P.det() == 0:
+            continue
+        gstar = _rebase(alg.tensor, P)
+        assert _isomorphism_class(gstar)[:2] == (name, param)
+        _assert_identified(gstar, name, param)
+        checked += 1
+
+
+def test_identify_proves_no_rational_change_of_basis():
+    # VII0 with determinant ratio 1/2 against the catalog: the scale of the
+    # complement would be sqrt(1/2), so no rational isomorphism exists
+    gstar = StructureTensor.from_brackets(3, {(0, 2, 1): -2, (1, 2, 0): 1})
+    assert _isomorphism_class(gstar)[:2] == ("VII0", None)
+    with pytest.raises(NoCatalogMatch) as err:
+        identify_dual(gstar)
+    assert "no rational change of basis exists" in str(err.value)
+
+
+def test_identify_simple_non_catalog_presentation():
+    # simple duals are matched only in their catalog presentation
+    gstar = _rebase(lookup("IX").tensor, Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
+    assert gstar != lookup("IX").tensor
+    with pytest.raises(NoCatalogMatch) as err:
+        identify_dual(gstar)
+    assert "IX" in str(err.value)
+
+
+def test_identify_failed_validation_raises(monkeypatch):
+    # a constructed change of basis that fails the exact check raises a
+    # dedicated error instead of being returned (the check is not an assert)
+    import jacobilie.equivalence as equivalence
+
+    gstar = _rebase(lookup("III").tensor, Matrix([[2, 0, 1], [0, 1, 0], [1, 0, 1]]))
+    monkeypatch.setattr(
+        equivalence,
+        "change_of_basis_residual",
+        lambda *a: (Matrix.identity(3),),
+    )
+    with pytest.raises(SoundnessCheckError):
         identify_dual(gstar)
 
 

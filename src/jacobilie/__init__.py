@@ -7,7 +7,6 @@ dimensions 2 and 3.
 """
 
 from .bialgebra import (
-    BracketTable,
     DimensionMismatchError,
     JacobiLieBialgebra,
     SoundnessCheckError,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutomorphismFamily",
     "BialgebraDocument",
-    "BracketTable",
     "CatalogError",
     "ClassificationRow",
     "ConstraintError",

@@ -382,69 +382,24 @@ def verify(b: JacobiLieBialgebra) -> VerificationReport:
     return VerificationReport(tuple(ConditionResult(n, r) for n, r in residuals))
 
 
-class BracketTable:
-    """Full bracket table on the 2d-dimensional double space.
-
-    Basis order is (x1..xd, y1..yd) with x from g and y from the dual; entry
-    [a][b] is the coefficient vector (length 2d) of the bracket of basis
-    elements a and b.  The table is antisymmetric by construction but is not
-    asserted to satisfy the Jacobi identity: with nonzero cocycles the double
-    space need not be a Lie algebra.
-    """
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries) -> None:
-        table = tuple(tuple(Vector(v) for v in row) for row in entries)
-        if len(table) != 2 * dim or any(len(row) != 2 * dim for row in table):
-            raise ValueError("bracket table must be (2d) x (2d)")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BracketTable is immutable")
-
-    def __getitem__(self, key) -> Vector:
-        a, b = key
-        return self.entries[a][b]
-
-    def is_antisymmetric(self) -> bool:
-        n = 2 * self.dim
-        return all(
-            self.entries[a][b] == -self.entries[b][a]
-            for a in range(n)
-            for b in range(n)
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BracketTable)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-
-def _assemble_table(b: JacobiLieBialgebra, mixed_coeffs) -> BracketTable:
+def _double_space(b: JacobiLieBialgebra, mixed_coeffs) -> StructureTensor:
+    """Bracket of the 2d-dimensional double space, basis (x1..xd, y1..yd),
+    from the a < b half: g among the x, g* among the y, and the x then y
+    coefficients ``mixed_coeffs(i, j)`` of [x_i, y_j].  It need not satisfy
+    the Jacobi identity: with nonzero cocycles the double space is no Lie
+    algebra in general."""
     d = b.dim
-    n = 2 * d
-    table = [[Vector.zero(n) for _ in range(n)] for _ in range(n)]
-    f = b.g.entries
-    ft = b.gstar.entries
-    for i in range(d):
-        for j in range(d):
-            table[i][j] = Vector(list(f[i][j]) + [0] * d)
-            table[d + i][d + j] = Vector([0] * d + list(ft[i][j]))
+    brackets = {(i, j, k): v for i, j, k, v in b.g.nonzero()}
+    brackets.update({(d + i, d + j, d + k): v for i, j, k, v in b.gstar.nonzero()})
     for i in range(d):
         for j in range(d):
             xc, yc = mixed_coeffs(i, j)
-            v = Vector(xc + yc)
-            table[i][d + j] = v
-            table[d + j][i] = -v
-    return BracketTable(d, table)
+            brackets.update({(i, d + j, c): v for c, v in enumerate(xc + yc)})
+    return StructureTensor.from_brackets(2 * d, brackets)
 
 
-def double_brackets(b: JacobiLieBialgebra) -> BracketTable:
-    """Bracket table on the double space with the cocycle correction terms.
+def double_brackets(b: JacobiLieBialgebra) -> StructureTensor:
+    """Bracket of the double space with the cocycle correction terms.
 
     The mixed bracket of x_i with y^j has x_k coefficient
     ``f~^jk_i + alpha^k delta_i^j / 2 - alpha^j delta_i^k`` and y^k
@@ -471,11 +426,14 @@ def double_brackets(b: JacobiLieBialgebra) -> BracketTable:
         ]
         return xc, yc
 
-    return _assemble_table(b, coeffs)
+    return _double_space(b, coeffs)
 
 
-def classical_double_brackets(g: StructureTensor, gstar: StructureTensor) -> BracketTable:
-    """Bracket table of an ordinary dual pair: mixed bracket without cocycles."""
+def classical_double_brackets(
+    g: StructureTensor, gstar: StructureTensor
+) -> StructureTensor:
+    """Bracket of the double space of an ordinary dual pair: mixed bracket
+    without cocycles."""
     d = g.dim
     b = JacobiLieBialgebra(g, gstar, Vector.zero(d), Vector.zero(d))
     f = g.entries
@@ -486,4 +444,4 @@ def classical_double_brackets(g: StructureTensor, gstar: StructureTensor) -> Bra
         yc = [f[k][i][j] for k in range(d)]
         return xc, yc
 
-    return _assemble_table(b, coeffs)
+    return _double_space(b, coeffs)

@@ -15,13 +15,12 @@ provided for testing.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprs import eval_expr, eval_predicate, expr_names
-from .linalg import Matrix, SingularMatrixError, as_fraction
+from .linalg import Matrix, SingularMatrixError, Vector, as_fraction
 from .structure import StructureTensor, is_lie_algebra
 
 
@@ -319,12 +318,12 @@ def automorphism_family(name: str) -> AutomorphismFamily:
 def is_automorphism(g: LieAlgebra | StructureTensor, A: Matrix) -> bool:
     """Exact automorphism test for the bracket of ``g``.
 
-    Evaluates the index relation ``A_i^m f_mn^k A_j^n == f_ij^l A_l^k``,
-    skipping zero structure constants and stopping at the first failing
-    ``(i, j, k)``.  Its matrix form ``A Y^k A^t == sum_i A_i^k Y^i`` is the
-    oracle of ``test_families_validate_on_samples`` and
-    ``test_predicate_only_groups`` (``tests/test_catalog.py``).  A singular
-    matrix is an error, never plain False.
+    Evaluates ``[A_i, A_j] == A^t f_ij`` (the index relation
+    ``A_i^m f_mn^k A_j^n == f_ij^l A_l^k``) for rows i < j of A with
+    :meth:`StructureTensor.bracket`, stopping at the first failing pair.  Its
+    matrix form ``A Y^k A^t == sum_i A_i^k Y^i`` is the oracle of
+    ``test_families_validate_on_samples`` and ``test_predicate_only_groups``
+    (``tests/test_catalog.py``).  A singular matrix is an error, never False.
     """
     t = g.tensor if isinstance(g, LieAlgebra) else g
     d = t.dim
@@ -332,21 +331,12 @@ def is_automorphism(g: LieAlgebra | StructureTensor, A: Matrix) -> bool:
         raise ValueError("matrix dimension does not match the algebra")
     if A.det() == 0:
         raise SingularMatrixError("candidate automorphism is singular")
-    f = t.entries
-    for i, j, k in itertools.product(range(d), repeat=3):
-        lhs = sum(
-            (
-                A[i, m] * f[m][n][k] * A[j, n]
-                for m in range(d)
-                for n in range(d)
-                if f[m][n][k] != 0
-            ),
-            Fraction(0),
-        )
-        rhs = sum((f[i][j][l] * A[l, k] for l in range(d)), Fraction(0))
-        if lhs != rhs:
-            return False
-    return True
+    At = A.transpose()
+    return all(
+        t.bracket(A.row(i), A.row(j)) == At * Vector(t.entries[i][j])
+        for i in range(d)
+        for j in range(i + 1, d)
+    )
 
 
 def is_transposed_automorphism(g: LieAlgebra | StructureTensor, M: Matrix) -> bool:

@@ -120,10 +120,7 @@ def _cmd_identify(args) -> int:
     doc = _load_document(args.document)
     try:
         ident = identify_dual(doc.gstar.tensor)
-    except NoCatalogMatch as exc:
-        print(f"no catalog match: {exc}", file=sys.stderr)
-        return FAILURE
-    except ValueError as exc:
+    except ValueError as exc:  # a dual that fails Jacobi; main reports NoCatalogMatch
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:

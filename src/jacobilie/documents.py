@@ -12,8 +12,10 @@ Schema (all rationals are exact strings, "n" or "p/q"):
       "beta": ["-2", "0", "0"]
     }
 
-``dim`` is 1, 2 or 3.  Explicit constants are 1-based with i < j; the
-loader completes the j > i half by antisymmetry.  Serialization is
+A rational is a JSON integer or a string ``-?[0-9]+(/[0-9]+)?`` with q != 0;
+decimals, exponents, underscores, a leading ``+`` and surrounding whitespace
+are rejected.  ``dim`` is 1, 2 or 3.  Explicit constants are 1-based with
+i < j; the loader completes the j > i half by antisymmetry.  Serialization is
 canonical: sorted keys, constants sorted by (i, j, k), values in lowest
 terms, two-space indent, trailing newline.  Parsing then serializing a
 canonically formatted document is byte-identical.
@@ -22,6 +24,7 @@ canonically formatted document is byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,15 +38,19 @@ class DocumentError(ValueError):
     """Malformed candidate document; message carries field context."""
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _parse_rational(value, where: str) -> Fraction:
     # type(...) is int: JSON true/false load as bool, a subclass of int
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{where}: bad rational {value!r} ({exc})") from None
+        if not _RATIONAL.fullmatch(value):
+            raise DocumentError(
+                f"{where}: bad rational {value!r} (expected 'n' or 'p/q', q != 0)"
+            )
+        return Fraction(value)
     raise DocumentError(f"{where}: rationals must be strings like '1' or '-3/2'")
 
 

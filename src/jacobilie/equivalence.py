@@ -32,43 +32,20 @@ from .structure import StructureTensor, adjoint_x, is_lie_algebra
 
 
 def transform_tensor(gstar: StructureTensor, A: Matrix) -> StructureTensor:
-    """Inverse-transpose conjugation of a dual tensor by an invertible A."""
+    """Inverse-transpose conjugation of a dual tensor by an invertible A.
+
+    The new bracket of e_i, e_j (i < j) is A applied to
+    :meth:`StructureTensor.bracket` of rows i and j of U = A^-t; the j > i
+    half follows by antisymmetry.
+    """
     d = gstar.dim
-    U = A.inverse().transpose()  # acts on the two upper indices
-    At = A.transpose()  # acts on the lower index
-    ft = gstar.entries
-    # contract one index at a time
-    t1 = [
-        [
-            [
-                sum((U[i, k] * ft[k][l][m] for k in range(d)), Fraction(0))
-                for m in range(d)
-            ]
-            for l in range(d)
-        ]
-        for i in range(d)
-    ]
-    t2 = [
-        [
-            [
-                sum((U[j, l] * t1[i][l][m] for l in range(d)), Fraction(0))
-                for m in range(d)
-            ]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    t3 = [
-        [
-            [
-                sum((t2[i][j][m] * At[m, n] for m in range(d)), Fraction(0))
-                for n in range(d)
-            ]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return StructureTensor(d, t3)
+    U = A.inverse().transpose()
+    brackets = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k, x in enumerate(A * gstar.bracket(U.row(i), U.row(j))):
+                brackets[i, j, k] = x
+    return StructureTensor.from_brackets(d, brackets)
 
 
 def transform(b: JacobiLieBialgebra, A: Matrix) -> JacobiLieBialgebra:
@@ -105,6 +82,10 @@ def is_equivalent_witness(
     return moved.gstar == b2.gstar and moved.alpha == b2.alpha and moved.beta == b2.beta
 
 
+# denominators of the witness-search grid run over 1..DENOMINATOR_BOUND
+DENOMINATOR_BOUND = 2
+
+
 def _grid_values(numerator_bound: int, denominator_bound: int) -> tuple[Fraction, ...]:
     """Grid values p/q, |p| <= numerator bound, 1 <= q <= denominator bound,
     ordered simplest-first; the first witness in this order wins."""
@@ -123,8 +104,8 @@ def _grid_values(numerator_bound: int, denominator_bound: int) -> tuple[Fraction
 class SearchRegion:
     """Configuration of the rational witness-search grid.
 
-    ``numerator_bound``/``denominator_bound`` define the default value set
-    p/q with |p| <= bound.  Families with many free parameters are truncated
+    ``numerator_bound`` and :data:`DENOMINATOR_BOUND` define the value set
+    p/q with |p/q| <= bound.  Families with many free parameters are truncated
     to keep the enumeration finite in practice: 6-parameter families use
     integer values within the bound, 9-parameter families {0, +-1}.  ``seeds``
     are candidate witness matrices tried before the grid (each is validated,
@@ -132,18 +113,14 @@ class SearchRegion:
     """
 
     numerator_bound: int = 3
-    denominator_bound: int = 2
-    values: tuple[Fraction, ...] | None = None
     seeds: tuple[Matrix, ...] = ()
 
     def value_set(self, n_params: int) -> tuple[Fraction, ...]:
-        if self.values is not None:
-            return self.values
         if n_params >= 9:
             return (Fraction(0), Fraction(1), Fraction(-1))
         if n_params >= 6:
             return _grid_values(min(self.numerator_bound, 2), 1)
-        return _grid_values(self.numerator_bound, self.denominator_bound)
+        return _grid_values(self.numerator_bound, DENOMINATOR_BOUND)
 
     def describe(self, family: catalog.AutomorphismFamily) -> str:
         n = family.n_params()
@@ -260,21 +237,20 @@ def change_of_basis_residual(
     """Residual of the intertwining equations C (C^i_k S^k) = T^i C.
 
     ``S^k`` are the adjoint matrices of the source tensor and ``T^i`` those of
-    the target; all d residual matrices vanish exactly iff C realizes the
+    the target.  Row p of residual matrix i is C^t T_ip minus the source
+    :meth:`StructureTensor.bracket` of rows i and p of C (rows p < i follow by
+    antisymmetry).  All d residual matrices vanish exactly iff C realizes the
     isomorphism on structure constants.
     """
     d = source.dim
-    S = adjoint_x(source)
-    T = adjoint_x(target)
-    out = []
+    Ct = C.transpose()
+    rows = [[Vector.zero(d)] * d for _ in range(d)]
     for i in range(d):
-        acc = Matrix.zero(d)
-        for k in range(d):
-            coeff = C[i, k]
-            if coeff != 0:
-                acc = acc + S[k].scale(coeff)
-        out.append(C * acc - T[i] * C)
-    return tuple(out)
+        for p in range(i + 1, d):
+            r = Ct * Vector(target.entries[i][p]) - source.bracket(C.row(i), C.row(p))
+            rows[i][p] = r
+            rows[p][i] = -r
+    return tuple(Matrix(r) for r in rows)
 
 
 def _derived_span(t: StructureTensor) -> list[Vector]:
@@ -304,19 +280,6 @@ def _in_span(v: Vector, basis: list[Vector]) -> bool:
         return v.is_zero()
     rows = [[b[k] for b in basis] for k in range(v.dim)]
     return solve_affine(rows, list(v)) is not None
-
-
-def _bracket(t: StructureTensor, u: Vector, v: Vector) -> Vector:
-    d = t.dim
-    out = [Fraction(0)] * d
-    for i in range(d):
-        if u[i] == 0:
-            continue
-        for j in range(d):
-            c = u[i] * v[j]
-            if c != 0:
-                out = [a + c * b for a, b in zip(out, t.entries[i][j])]
-    return Vector(out)
 
 
 def _killing_matrix(t: StructureTensor) -> Matrix:
@@ -351,15 +314,15 @@ def _split(t: StructureTensor, derived: list[Vector]) -> _Split | None:
     n = list(derived)
     if len(n) == 1 and d == 3:
         w = n[0]
-        images = [_bracket(t, w, Vector.unit(d, j)) for j in range(d)]
+        images = [t.bracket(w, Vector.unit(d, j)) for j in range(d)]
         ad_w = [[img[k] for img in images] for k in range(d)]
         _, kernel = solve_affine(ad_w, [Fraction(0)] * d)
         n.append(next(Vector(u) for u in kernel if not _in_span(Vector(u), [w])))
-    if len(n) == 2 and not _bracket(t, n[0], n[1]).is_zero():
+    if len(n) == 2 and not t.bracket(n[0], n[1]).is_zero():
         return None
     x = next(Vector.unit(d, i) for i in range(d) if not _in_span(Vector.unit(d, i), n))
     coords = [[b[k] for b in n] for k in range(d)]
-    cols = [solve_affine(coords, list(_bracket(t, x, u)))[0] for u in n]
+    cols = [solve_affine(coords, list(t.bracket(x, u)))[0] for u in n]
     return _Split(x, tuple(n), Matrix([[c[i] for c in cols] for i in range(len(n))]))
 
 
@@ -434,8 +397,8 @@ def _adapted_basis(t: StructureTensor, split: _Split, scale: Fraction) -> Matrix
     if M == Matrix.identity(M.dim).scale(M[0, 0]):
         return Matrix([y, *split.n])
     n1, n2 = split.n
-    v = next(v for v in (n1, n2, n1 + n2) if not _in_span(_bracket(t, y, v), [v]))
-    return Matrix([y, v, _bracket(t, y, v)])
+    v = next(v for v in (n1, n2, n1 + n2) if not _in_span(t.bracket(y, v), [v]))
+    return Matrix([y, v, t.bracket(y, v)])
 
 
 def identify_dual(gstar: StructureTensor) -> DualIdentification:

@@ -6,6 +6,11 @@ serves both roles of a dual pair: for the primal algebra the first two indices
 are down (``f_ij^k``), for the dual algebra they are up (``f~^ij_k``).  All
 indices are 0-based in code.
 
+``StructureTensor.bracket`` is the one place where structure constants are
+contracted with coordinates: every change of basis in the library (pushing a
+dual tensor along an automorphism, the automorphism test, the intertwining
+residual of a change of basis) applies it to the rows of a basis matrix.
+
 Sign convention (used by every matrix-form condition downstream): the adjoint
 matrices carry a minus sign,
 
@@ -18,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import Matrix, as_fraction, format_fraction
+from .linalg import Matrix, Vector, as_fraction, format_fraction
 
 # residual grids are plain nested tuples indexed [i][j][m][n]
 Grid4 = tuple
@@ -77,6 +82,18 @@ class StructureTensor:
     def __getitem__(self, key) -> Fraction:
         i, j, k = key
         return self.entries[i][j][k]
+
+    def bracket(self, u: Vector, v: Vector) -> Vector:
+        """Coordinates of [u, v] = u_m v_n f_mn^k, skipping zero coefficients."""
+        out = [Fraction(0)] * self.dim
+        for um, plane in zip(u, self.entries):
+            if um == 0:
+                continue
+            for vn, row in zip(v, plane):
+                c = um * vn
+                if c != 0:
+                    out = [a + c * b for a, b in zip(out, row)]
+        return Vector(out)
 
     def nonzero(self) -> list[tuple[int, int, int, Fraction]]:
         """Nonzero entries with i < j, in lexicographic order."""

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from jacobilie import (
     serialize_document,
     verify,
 )
+from jacobilie.linalg import format_fraction
 
 GOOD = """
 {
@@ -102,6 +104,12 @@ def _explicit_of_dim(data, dim):
     )
 
 
+def _bad_beta(text):
+    return pytest.param(
+        lambda d: d.update(beta=["0", "0", text]), "bad rational", id=f"bad rational {text!r}"
+    )
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -111,6 +119,8 @@ def _explicit_of_dim(data, dim):
         (lambda d: d["g"].update(name="nope"), "unknown Lie algebra"),
         (lambda d: d.update(alpha=["0", "0"]), "alpha"),
         (lambda d: d.update(beta=["0", "0", "x"]), "bad rational"),
+        # the schema allows "n" and "p/q" only; Fraction() would accept these
+        *(_bad_beta(text) for text in ("1.5", "1e0", "1_000", "+3", " 2", "1/00")),
         (
             lambda d: d["gstar"]["constants"].append(
                 {"i": 2, "j": 1, "k": 1, "value": "1"}
@@ -205,3 +215,32 @@ def test_round_trip_property(values):
     text = serialize_document(doc)
     assert serialize_document(parse_document(text)) == text
     assert parse_document(text).bialgebra() == doc.bialgebra()
+
+
+RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=8),
+        st.text(alphabet="0123456789-+/. _eE", max_size=8),
+        st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+    )
+)
+def test_rational_slot_is_strict_or_canonical(text):
+    # any text in a rational slot is either refused or read as the exact
+    # "n" / "p/q" it spells, and then serialized in lowest terms
+    data = json.loads(GOOD)
+    data["beta"][2] = text
+    try:
+        doc = parse_document(data)
+    except DocumentError as exc:
+        assert "bad rational" in str(exc)
+        return
+    assert RATIONAL_TEXT.fullmatch(text)
+    num, _, den = text.partition("/")
+    value = Fraction(int(num), int(den or 1))
+    serialized = serialize_document(doc)
+    assert json.loads(serialized)["beta"][2] == format_fraction(value)
+    assert serialize_document(parse_document(serialized)) == serialized

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ENTRY_POOL, random_antisymmetric
+
 from jacobilie import (
     JacobiLieBialgebra,
     Matrix,
@@ -21,7 +23,8 @@ from jacobilie import (
     transform,
     verify,
 )
-from jacobilie.equivalence import _isomorphism_class
+from jacobilie.equivalence import _isomorphism_class, transform_tensor
+from jacobilie.structure import adjoint_x
 from jacobilie.tables import load_table_rows
 
 
@@ -402,3 +405,88 @@ def test_search_witness_failed_validation_raises(monkeypatch):
     monkeypatch.setattr(equivalence, "is_equivalent_witness", lambda *a: False)
     with pytest.raises(SoundnessCheckError):
         search_witness(b, moved)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the single change-of-basis law (StructureTensor.bracket)
+# ---------------------------------------------------------------------------
+
+def _random_matrix(rng, d):
+    return Matrix([[rng.choice(ENTRY_POOL) for _ in range(d)] for _ in range(d)])
+
+
+def _adjoint_change_of_basis_residual(S, T, C):
+    # the intertwining equations in adjoint-matrix form C (sum_k C_ik S^k) - T^i C
+    d = S.dim
+    Sx, Tx = adjoint_x(S), adjoint_x(T)
+    out = []
+    for i in range(d):
+        acc = Matrix.zero(d)
+        for k in range(d):
+            acc = acc + Sx[k].scale(C[i, k])
+        out.append(C * acc - Tx[i] * C)
+    return tuple(out)
+
+
+def _admissible_table_duals():
+    for row in load_table_rows():
+        for assignment, admissible in row.sample_assignments():
+            if admissible:
+                yield row.instantiate(assignment).gstar
+
+
+def test_bracket_matches_index_sum(rng):
+    for _ in range(100):
+        d = rng.choice((1, 2, 3))
+        t = random_antisymmetric(rng, d)
+        u = Vector(rng.choice(ENTRY_POOL) for _ in range(d))
+        v = Vector(rng.choice(ENTRY_POOL) for _ in range(d))
+        expect = Vector(
+            sum((u[m] * v[n] * t[m, n, k] for m in range(d) for n in range(d)), Fraction(0))
+            for k in range(d)
+        )
+        assert t.bracket(u, v) == expect
+        assert t.bracket(v, u) == -expect
+
+
+def test_transform_tensor_matches_rebase(rng):
+    # pushing a dual along A is rewriting it in the basis of the rows of A^-t
+    checked = 0
+    while checked < 60:
+        d = rng.choice((2, 3))
+        A = _random_matrix(rng, d)
+        if A.det() == 0:
+            continue
+        gstar = random_antisymmetric(rng, d)
+        assert transform_tensor(gstar, A) == _rebase(gstar, A.inverse().transpose())
+        checked += 1
+
+
+def test_change_of_basis_residual_matches_adjoint_form(rng):
+    # random tensors and matrices, singular ones included
+    singular = 0
+    for _ in range(100):
+        d = rng.choice((2, 3))
+        S, T = random_antisymmetric(rng, d), random_antisymmetric(rng, d)
+        C = _random_matrix(rng, d)
+        singular += C.det() == 0
+        assert change_of_basis_residual(S, T, C) == _adjoint_change_of_basis_residual(S, T, C)
+    for C in (Matrix.zero(3), Matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])):
+        S, T = random_antisymmetric(rng, 3), random_antisymmetric(rng, 3)
+        assert change_of_basis_residual(S, T, C) == _adjoint_change_of_basis_residual(S, T, C)
+    assert singular > 0
+
+
+def test_change_of_basis_residual_matches_adjoint_form_on_table_duals(rng):
+    # the dual of every admissible table sample against its catalog class,
+    # with the identified change of basis (zero residual) and a random one
+    count = 0
+    for gstar in _admissible_table_duals():
+        ident = identify_dual(gstar)
+        target = lookup(ident.name, ident.param).tensor
+        for C in (ident.change_of_basis, _random_matrix(rng, gstar.dim)):
+            assert change_of_basis_residual(gstar, target, C) == (
+                _adjoint_change_of_basis_residual(gstar, target, C)
+            )
+        count += 1
+    assert count == 258

@@ -4,21 +4,28 @@ A candidate is a pair of antisymmetric tensors (the algebra ``g`` and its
 dual ``g*``) together with two cocycle component vectors: ``alpha`` holds the
 components of the distinguished element of ``g`` and ``beta`` those of the
 distinguished 1-form.  ``verify`` evaluates the seven defining condition
-groups exactly, each once, in its index (structure-constant) form.
+groups exactly, each once, through one function per condition.
 
-The ``*_adjoint`` functions write the same conditions through adjoint
-matrices.  They are reference forms used by tests only: the tests compare
-the two forms on random candidates and on a sample of every table row.
+Each condition function returns the independent entries of its residual as
+a flat tuple (orthogonality: one scalar).  The brackets are antisymmetric, so
+the mixed residual is antisymmetric in (i, j) and in (m, n), and both cocycle
+residuals in (m, n): only i < j and m < n are evaluated.  Every dropped entry
+is the negative of a kept one or zero, so the max |entry| that ``verify``
+reports is that of the full grid.
+
+The ``*_adjoint`` functions write the same conditions as full grids through
+adjoint matrices: reference forms used by tests only, which compare every
+grid entry with an independent entry or its antisymmetric image.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, Vector, format_fraction
 from .structure import (
-    Grid4,
     StructureTensor,
     adjoint_x,
     adjoint_y,
@@ -120,68 +127,59 @@ class VerificationReport:
         }
 
 
-def _cocycle_matrix(b: JacobiLieBialgebra) -> list[list[Fraction]]:
-    # C[i][m] = alpha^k f_ik^m - alpha^m beta_i
-    d = b.dim
-    f = b.g.entries
-    al, be = b.alpha, b.beta
-    return [
-        [
-            sum((al[k] * f[i][k][m] for k in range(d)), Fraction(0)) - al[m] * be[i]
-            for m in range(d)
-        ]
-        for i in range(d)
-    ]
+def _cocycle_matrix(b: JacobiLieBialgebra) -> list[Vector]:
+    # row i: C[i][m] = [e_i, alpha]_g[m] - alpha^m beta_i
+    unit = (Vector.unit(b.dim, i) for i in range(b.dim))
+    return [b.g.bracket(e, b.alpha) - b.alpha.scale(be) for e, be in zip(unit, b.beta)]
 
 
-def mixed_residual(b: JacobiLieBialgebra) -> Grid4:
-    """Generalized mixed-compatibility residual by index loops, [i][j][m][n]."""
+def mixed_residual(b: JacobiLieBialgebra) -> tuple[Fraction, ...]:
+    """Generalized mixed-compatibility residual by index loops.
+
+    Flat tuple of the entries [i][j][m][n] with i < j and m < n: pairs (i, j)
+    in lexicographic order, then pairs (m, n) (9 entries in dimension 3, 1 in
+    dimension 2).  The full grid (:func:`mixed_residual_adjoint`) is
+    antisymmetric in (i, j) and in (m, n).
+    """
     d = b.dim
     f = b.g.entries
     ft = b.gstar.entries
     al, be = b.alpha, b.beta
     C = _cocycle_matrix(b)
+    pairs = list(itertools.combinations(range(d), 2))
     out = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            row = []
-            for m in range(d):
-                col = []
-                for n in range(d):
-                    s = Fraction(0)
-                    for k in range(d):
-                        s += f[i][j][k] * ft[m][n][k]
-                        s -= f[i][k][m] * ft[k][n][j]
-                        s -= f[i][k][n] * ft[m][k][j]
-                        s -= f[k][j][m] * ft[k][n][i]
-                        s -= f[k][j][n] * ft[m][k][i]
-                    s += be[i] * ft[m][n][j] - be[j] * ft[m][n][i]
-                    s += al[m] * f[i][j][n] - al[n] * f[i][j][m]
-                    if j == n:
-                        s += C[i][m]
-                    if i == n:
-                        s -= C[j][m]
-                    if j == m:
-                        s -= C[i][n]
-                    if i == m:
-                        s += C[j][n]
-                    col.append(s)
-                row.append(tuple(col))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
+    for i, j in pairs:
+        for m, n in pairs:
+            s = Fraction(0)
+            for k in range(d):
+                s += f[i][j][k] * ft[m][n][k]
+                s -= f[i][k][m] * ft[k][n][j]
+                s -= f[i][k][n] * ft[m][k][j]
+                s -= f[k][j][m] * ft[k][n][i]
+                s -= f[k][j][n] * ft[m][k][i]
+            s += be[i] * ft[m][n][j] - be[j] * ft[m][n][i]
+            s += al[m] * f[i][j][n] - al[n] * f[i][j][m]
+            if j == n:
+                s += C[i][m]
+            if i == n:
+                s -= C[j][m]
+            if j == m:
+                s -= C[i][n]
+            if i == m:
+                s += C[j][n]
+            out.append(s)
     return tuple(out)
 
 
-def mixed_residual_adjoint(b: JacobiLieBialgebra) -> Grid4:
+def mixed_residual_adjoint(b: JacobiLieBialgebra) -> tuple:
     """Mixed-compatibility residual from adjoint matrices; a reference form
     used by tests (:func:`verify` evaluates the index form).
 
     For each (m, n) the auxiliary matrix combines the adjoint matrices of g
     and g*, the outer products of the cocycle columns, and the column of
     dual constants; adding the four Kronecker terms built from
-    ``C = alpha^k X_k - B A^t`` gives a matrix whose (i, j) entry equals
-    ``mixed_residual(b)[i][j][m][n]``.  The diagonal m == n is included.
+    ``C = alpha^k X_k - B A^t`` gives a matrix whose (i, j) entry is entry
+    [i][j][m][n] of the full residual grid.  The diagonal m == n is included.
     """
     d = b.dim
     X = adjoint_x(b.g)
@@ -228,38 +226,32 @@ def mixed_residual_adjoint(b: JacobiLieBialgebra) -> Grid4:
     )
 
 
-def classical_mixed_residual(g: StructureTensor, gstar: StructureTensor) -> Grid4:
+def classical_mixed_residual(g: StructureTensor, gstar: StructureTensor) -> tuple[Fraction, ...]:
     """Mixed-Jacobi residual of an ordinary dual pair (no cocycle terms).
 
     Coded independently of :func:`mixed_residual` as left side minus right
-    side of the classical compatibility identity.
+    side of the classical compatibility identity, over the same entries in
+    the same order: i < j, then m < n.
     """
     d = g.dim
     f = g.entries
     ft = gstar.entries
+    pairs = list(itertools.combinations(range(d), 2))
     out = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            row = []
-            for m in range(d):
-                col = []
-                for n in range(d):
-                    lhs = sum((f[i][j][k] * ft[m][n][k] for k in range(d)), Fraction(0))
-                    rhs = sum(
-                        (
-                            f[i][k][m] * ft[k][n][j]
-                            + f[i][k][n] * ft[m][k][j]
-                            + f[k][j][m] * ft[k][n][i]
-                            + f[k][j][n] * ft[m][k][i]
-                            for k in range(d)
-                        ),
-                        Fraction(0),
-                    )
-                    col.append(lhs - rhs)
-                row.append(tuple(col))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
+    for i, j in pairs:
+        for m, n in pairs:
+            lhs = sum((f[i][j][k] * ft[m][n][k] for k in range(d)), Fraction(0))
+            rhs = sum(
+                (
+                    f[i][k][m] * ft[k][n][j]
+                    + f[i][k][n] * ft[m][k][j]
+                    + f[k][j][m] * ft[k][n][i]
+                    + f[k][j][n] * ft[m][k][i]
+                    for k in range(d)
+                ),
+                Fraction(0),
+            )
+            out.append(lhs - rhs)
     return tuple(out)
 
 
@@ -276,27 +268,25 @@ def orthogonality_residual_adjoint(b: JacobiLieBialgebra) -> Fraction:
     return outer.trace()
 
 
-def compatibility_residual(b: JacobiLieBialgebra) -> tuple[tuple[Fraction, ...], ...]:
-    """Index form, entry (i, m): alpha^n f_ni^m - beta_n f~^nm_i."""
+def compatibility_residual(b: JacobiLieBialgebra) -> tuple[Fraction, ...]:
+    """Entry (i, m) is [alpha, e_i]_g[m] - [beta, e_m]_{g*}[i], that is
+    alpha^n f_ni^m - beta_n f~^nm_i, through :meth:`StructureTensor.bracket`.
+
+    Flat tuple in row-major (i, m) order; all d^2 entries are independent.
+    """
     d = b.dim
-    f = b.g.entries
-    ft = b.gstar.entries
-    al, be = b.alpha, b.beta
-    return tuple(
-        tuple(
-            sum((al[n] * f[n][i][m] for n in range(d)), Fraction(0))
-            - sum((be[n] * ft[n][m][i] for n in range(d)), Fraction(0))
-            for m in range(d)
-        )
-        for i in range(d)
-    )
+    unit = [Vector.unit(d, k) for k in range(d)]
+    ad_alpha = [b.g.bracket(b.alpha, e) for e in unit]
+    ad_beta = [b.gstar.bracket(b.beta, e) for e in unit]
+    return tuple(ad_alpha[i][m] - ad_beta[m][i] for i in range(d) for m in range(d))
 
 
 def compatibility_residual_adjoint(b: JacobiLieBialgebra) -> Matrix:
     """Matrix form: sum_i alpha^i X_i^t - sum_i beta_i Xt^i.
 
-    Entry (r, c) equals minus the index form at (i, m) = (c, r).  A reference
-    form used by tests (:func:`verify` evaluates the index form).
+    Entry (r, c) equals minus entry (i, m) = (c, r) of
+    :func:`compatibility_residual`.  A reference form used by tests
+    (:func:`verify` evaluates the index form).
     """
     d = b.dim
     X = adjoint_x(b.g)
@@ -310,21 +300,15 @@ def compatibility_residual_adjoint(b: JacobiLieBialgebra) -> Matrix:
     return acc
 
 
-def cocycle_x0_residual(b: JacobiLieBialgebra) -> tuple[tuple[Fraction, ...], ...]:
-    """Index form, entry (m, n): alpha^i f~^mn_i."""
-    d = b.dim
-    ft = b.gstar.entries
-    return tuple(
-        tuple(
-            sum((b.alpha[i] * ft[m][n][i] for i in range(d)), Fraction(0))
-            for n in range(d)
-        )
-        for m in range(d)
-    )
+def cocycle_x0_residual(b: JacobiLieBialgebra) -> tuple[Fraction, ...]:
+    """alpha . f~^mn over the d(d-1)/2 pairs m < n in lexicographic order."""
+    pairs = itertools.combinations(range(b.dim), 2)
+    return tuple(b.alpha.dot(Vector(b.gstar.entries[m][n])) for m, n in pairs)
 
 
 def cocycle_x0_residual_adjoint(b: JacobiLieBialgebra) -> Matrix:
-    """Matrix form sum_i alpha^i Yt_i; equals minus the index form.  A
+    """Matrix form sum_i alpha^i Yt_i: entry (m, n) is -alpha . f~^mn, the
+    full antisymmetric grid of :func:`cocycle_x0_residual` negated.  A
     reference form used by tests (:func:`verify` evaluates the index form)."""
     d = b.dim
     Yt = adjoint_y(b.gstar)
@@ -335,21 +319,15 @@ def cocycle_x0_residual_adjoint(b: JacobiLieBialgebra) -> Matrix:
     return acc
 
 
-def cocycle_phi0_residual(b: JacobiLieBialgebra) -> tuple[tuple[Fraction, ...], ...]:
-    """Index form, entry (m, n): beta_i f_mn^i."""
-    d = b.dim
-    f = b.g.entries
-    return tuple(
-        tuple(
-            sum((b.beta[i] * f[m][n][i] for i in range(d)), Fraction(0))
-            for n in range(d)
-        )
-        for m in range(d)
-    )
+def cocycle_phi0_residual(b: JacobiLieBialgebra) -> tuple[Fraction, ...]:
+    """beta . f_mn over the d(d-1)/2 pairs m < n in lexicographic order."""
+    pairs = itertools.combinations(range(b.dim), 2)
+    return tuple(b.beta.dot(Vector(b.g.entries[m][n])) for m, n in pairs)
 
 
 def cocycle_phi0_residual_adjoint(b: JacobiLieBialgebra) -> Matrix:
-    """Matrix form sum_i beta_i Y^i; equals minus the index form.  A
+    """Matrix form sum_i beta_i Y^i: entry (m, n) is -beta . f_mn, the full
+    antisymmetric grid of :func:`cocycle_phi0_residual` negated.  A
     reference form used by tests (:func:`verify` evaluates the index form)."""
     d = b.dim
     Y = adjoint_y(b.g)
@@ -363,10 +341,11 @@ def cocycle_phi0_residual_adjoint(b: JacobiLieBialgebra) -> Matrix:
 def verify(b: JacobiLieBialgebra) -> VerificationReport:
     """Evaluate the seven defining condition groups exactly.
 
-    Each condition is computed once, in its index form.  The report records
-    the max |entry| per condition as an exact rational; the candidate passes
-    iff every residual is exactly zero.  The adjoint-matrix forms of the same
-    conditions are the oracles of ``test_jacobi_loop_matches_matrix_form``
+    Each condition is computed once, by its one function, over its
+    independent entries.  The report records the max |entry| per condition
+    as an exact rational (that of the full residual grid); the candidate
+    passes iff every residual is exactly zero.  The adjoint-matrix forms of
+    the same conditions are the oracles of ``test_jacobi_loop_matches_matrix_form``
     (``tests/test_structure.py``), ``test_mixed_forms_agree_on_arbitrary_inputs``
     and ``test_compatibility_forms_sign_relation`` (``tests/test_bialgebra.py``).
     """

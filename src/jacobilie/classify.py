@@ -38,12 +38,7 @@ from .equivalence import (
 )
 from .exprs import eval_predicate
 from .linalg import Matrix, Vector, as_fraction, format_fraction
-from .structure import (
-    StructureTensor,
-    adjoint_x,
-    grid_max_abs,
-    jacobi_residual,
-)
+from .structure import StructureTensor, adjoint_x, jacobi_residual
 from .tables import FAMILY_SAMPLES, SCALAR_SAMPLES, TableRow, load_table_rows
 
 logger = logging.getLogger(__name__)
@@ -101,57 +96,40 @@ def residual_system(g: LieAlgebra | StructureTensor, u: UnknownAssignment) -> tu
     """Concatenated exact residuals of the six matrix equations at ``u``.
 
     Order: dual Jacobi identity, mixed compatibility, cocycle orthogonality,
-    element/form compatibility, and the two cocycle conditions, each in the
-    index form that :func:`verify` evaluates.  The zero vector is returned
-    exactly when ``u`` is a Step-1 solution for ``g``.  The early-exit form
-    :func:`residual_system_is_zero` is checked against this one by
-    ``test_fast_zero_test_matches_full_system`` (``tests/test_classify.py``).
+    element/form compatibility, and the two cocycle conditions, each the
+    independent entries that its condition function returns (as in
+    :func:`verify`): 3 + 9 + 1 + 9 + 3 + 3 = 28 entries in dimension 3,
+    0 + 1 + 1 + 4 + 1 + 1 = 8 in dimension 2.  The zero vector is returned
+    exactly when ``u`` is a Step-1 solution for ``g``; the early-exit form
+    :func:`residual_system_is_zero` is checked against it by
+    ``test_fast_zero_test_matches_full_system``.
     """
     b = u.as_bialgebra(g)
-    out: list[Fraction] = []
-
-    def flatten(grid):
-        if isinstance(grid, Fraction):
-            out.append(grid)
-        else:
-            for x in grid:
-                flatten(x)
-
-    flatten(jacobi_residual(b.gstar))
-    flatten(mixed_residual(b))
-    out.append(orthogonality_residual(b))
-    flatten(compatibility_residual(b))
-    flatten(cocycle_x0_residual(b))
-    flatten(cocycle_phi0_residual(b))
-    return tuple(out)
+    return (
+        jacobi_residual(b.gstar)
+        + mixed_residual(b)
+        + (orthogonality_residual(b),)
+        + compatibility_residual(b)
+        + cocycle_x0_residual(b)
+        + cocycle_phi0_residual(b)
+    )
 
 
 def residual_system_is_zero(g: LieAlgebra | StructureTensor, u: UnknownAssignment) -> bool:
-    """Early-exit zero test of the same system, ordered cheapest first."""
-    t = g.tensor if isinstance(g, LieAlgebra) else g
-    d = t.dim
-    f = t.entries
-    ft = u.gstar.entries
-    al, be = u.alpha, u.beta
-    if al.dot(be) != 0:
-        return False
-    for m in range(d):
-        for n in range(m + 1, d):
-            if sum((al[i] * ft[m][n][i] for i in range(d)), Fraction(0)) != 0:
-                return False
-            if sum((be[i] * f[m][n][i] for i in range(d)), Fraction(0)) != 0:
-                return False
-    for i in range(d):
-        for m in range(d):
-            s = sum((al[n] * f[n][i][m] for n in range(d)), Fraction(0)) - sum(
-                (be[n] * ft[n][m][i] for n in range(d)), Fraction(0)
-            )
-            if s != 0:
-                return False
+    """Early-exit zero test of the same system: the same condition
+    functions, cheapest first, stopping at the first nonzero condition."""
     b = u.as_bialgebra(g)
-    if grid_max_abs(mixed_residual(b)) != 0:
+    if orthogonality_residual(b) != 0:
         return False
-    return grid_max_abs(jacobi_residual(u.gstar)) == 0
+    for condition in (
+        cocycle_x0_residual,
+        cocycle_phi0_residual,
+        compatibility_residual,
+        mixed_residual,
+    ):
+        if any(condition(b)):
+            return False
+    return not any(jacobi_residual(b.gstar))
 
 
 def enumerate_zeros(
@@ -163,31 +141,27 @@ def enumerate_zeros(
 
     Exhaustive over ``values`` per unknown; practical for dimension 2 (six
     unknowns).  For dimension 3 (fifteen unknowns) pass a very small value
-    set or a limit.  The cheap scalar conditions are checked on raw values
-    before any tensor is built, so the full test runs only on survivors.
+    set or a limit.  Orthogonality and the phi0 cocycle depend on the
+    cocycle vectors alone and are checked once per pair of them; the x0
+    cocycle says that alpha annihilates every dual bracket, so each bracket
+    is drawn only from the grid vectors that alpha annihilates.  The full
+    test runs on the remaining candidates, in the order of the full grid.
     """
     t = g.tensor if isinstance(g, LieAlgebra) else g
     d = t.dim
-    f = t.entries
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    n_dual = len(pairs) * d
+    n_pairs = d * (d - 1) // 2
+    grid = [Vector(row) for row in itertools.product(values, repeat=d)]
+    no_dual = StructureTensor.zero(d)
     out: list[UnknownAssignment] = []
-    for cocycles in itertools.product(values, repeat=2 * d):
-        al, be = cocycles[:d], cocycles[d:]
-        if sum((a * b for a, b in zip(al, be)), Fraction(0)) != 0:
+    for alpha, beta in itertools.product(grid, repeat=2):
+        b = JacobiLieBialgebra(t, no_dual, alpha, beta)
+        if orthogonality_residual(b) != 0 or any(cocycle_phi0_residual(b)):
             continue
-        if any(
-            sum((be[k] * f[i][j][k] for k in range(d)), Fraction(0)) != 0
-            for i, j in pairs
-        ):
-            continue
-        for dual in itertools.product(values, repeat=n_dual):
-            if any(
-                sum((al[k] * dual[p * d + k] for k in range(d)), Fraction(0)) != 0
-                for p in range(len(pairs))
-            ):
-                continue
-            u = UnknownAssignment.from_free_entries(d, dual, al, be)
+        brackets = [row for row in grid if alpha.dot(row) == 0]
+        for dual in itertools.product(brackets, repeat=n_pairs):
+            u = UnknownAssignment.from_free_entries(
+                d, [x for row in dual for x in row], alpha, beta
+            )
             if residual_system_is_zero(t, u):
                 out.append(u)
                 if limit is not None and len(out) >= limit:

@@ -195,13 +195,14 @@ def search_witness(
             if not all(eval_predicate(c, env) for c in constraints):
                 continue
             A = Matrix([[eval_expr(e, env) for e in row] for row in templates])
-            if A.det() == 0:
-                continue
-            # cheap rejection on the cocycle vectors before the tensor work;
-            # A^t alpha2 == alpha1 avoids inverting every candidate
+            # cheap rejection on the cocycle vectors before the determinant
+            # and the tensor work; A^t alpha2 == alpha1 avoids inverting
+            # every candidate
             if A.transpose() * target_alpha != b1.alpha:
                 continue
             if A * b1.beta != target_beta:
+                continue
+            if A.det() == 0:
                 continue
             if transform_tensor(b1.gstar, A) == b2.gstar:
                 if not is_equivalent_witness(b1, b2, A):

@@ -9,7 +9,8 @@ indices are 0-based in code.
 ``StructureTensor.bracket`` is the one place where structure constants are
 contracted with coordinates: every change of basis in the library (pushing a
 dual tensor along an automorphism, the automorphism test, the intertwining
-residual of a change of basis) applies it to the rows of a basis matrix.
+residual of a change of basis) applies it to the rows of a basis matrix, and
+:func:`jacobi_residual` applies it to the Jacobiator of each basis triple.
 
 Sign convention (used by every matrix-form condition downstream): the adjoint
 matrices carry a minus sign,
@@ -20,20 +21,19 @@ matrices carry a minus sign,
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .linalg import Matrix, Vector, as_fraction, format_fraction
 
-# residual grids are plain nested tuples indexed [i][j][m][n]
-Grid4 = tuple
-
-
 class StructureTensor:
     """Antisymmetric structure-constant tensor with exact rational entries.
 
-    Construction antisymmetrizes in the first two indices, so reading back
-    always yields ``t[i, j, k] == -t[j, i, k]`` exactly.
+    ``StructureTensor(dim, entries)`` projects an arbitrary grid onto its
+    antisymmetric part; ``from_brackets`` stores the i < j half it is given
+    and its negation.  Reading back always yields ``t[i, j, k] == -t[j, i, k]``
+    exactly.
     """
 
     __slots__ = ("dim", "entries")
@@ -46,23 +46,30 @@ class StructureTensor:
             len(row) != dim or any(len(col) != dim for col in row) for row in raw
         ):
             raise ValueError(f"entries must form a {dim}x{dim}x{dim} grid")
-        anti = tuple(
-            tuple(
-                tuple((raw[i][j][k] - raw[j][i][k]) / 2 for k in range(dim))
-                for j in range(dim)
-            )
-            for i in range(dim)
-        )
+        upper = {
+            (i, j, k): (raw[i][j][k] - raw[j][i][k]) / 2
+            for i, j in itertools.combinations(range(dim), 2)
+            for k in range(dim)
+        }
+        self._fill(dim, upper)
+
+    def _fill(self, dim: int, upper: Mapping[tuple[int, int, int], object]) -> None:
+        """Set the grid from its i < j half; the j > i half is the negation
+        and the diagonal is zero."""
+        grid = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j, k), value in upper.items():
+            v = as_fraction(value)
+            grid[i][j][k] = v
+            grid[j][i][k] = -v
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", anti)
+        object.__setattr__(self, "entries", tuple(tuple(map(tuple, plane)) for plane in grid))
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureTensor is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> "StructureTensor":
-        z = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        return cls(dim, z)
+        return cls.from_brackets(dim, {})
 
     @classmethod
     def from_brackets(
@@ -70,14 +77,14 @@ class StructureTensor:
     ) -> "StructureTensor":
         """Build from entries given only for i < j (0-based); the j > i half
         is completed by antisymmetry."""
-        grid = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), value in brackets.items():
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        for i, j, k in brackets:
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"bracket index ({i},{j},{k}) out of range or not i<j")
-            v = as_fraction(value)
-            grid[i][j][k] = v
-            grid[j][i][k] = -v
-        return cls(dim, grid)
+        t = object.__new__(cls)
+        t._fill(dim, brackets)
+        return t
 
     def __getitem__(self, key) -> Fraction:
         i, j, k = key
@@ -90,8 +97,8 @@ class StructureTensor:
             if um == 0:
                 continue
             for vn, row in zip(v, plane):
-                c = um * vn
-                if c != 0:
+                if vn != 0:
+                    c = um * vn
                     out = [a + c * b for a, b in zip(out, row)]
         return Vector(out)
 
@@ -145,47 +152,39 @@ def adjoint_y(t: StructureTensor) -> tuple[Matrix, ...]:
     )
 
 
-def jacobi_residual(t: StructureTensor) -> Grid4:
-    """Jacobi-identity residual as index loops, indexed [i][j][m][n].
+def jacobi_residual(t: StructureTensor) -> tuple[Fraction, ...]:
+    """Jacobiator [[e_i,e_j],e_m] + [[e_j,e_m],e_i] + [[e_m,e_i],e_j] of each
+    basis triple i < j < m, through :meth:`StructureTensor.bracket`.
 
-    The residual vanishes identically exactly when the bracket defined by
-    ``t`` satisfies the Jacobi identity.
+    Flat tuple: triples in lexicographic order, then the coordinate n (3
+    entries in dimension 3, none in dimension 2).  The full grid
+    ``[i][j][m][n]`` (:func:`jacobi_residual_adjoint`) is totally
+    antisymmetric in (i, j, m), so it vanishes exactly when this tuple does,
+    that is when ``t`` satisfies the Jacobi identity.
     """
     d = t.dim
-    f = t.entries
-    return tuple(
-        tuple(
-            tuple(
-                tuple(
-                    sum(
-                        (
-                            f[i][j][k] * f[k][m][n]
-                            + f[i][k][n] * f[m][j][k]
-                            + f[j][k][n] * f[i][m][k]
-                            for k in range(d)
-                        ),
-                        Fraction(0),
-                    )
-                    for n in range(d)
-                )
-                for m in range(d)
-            )
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+    unit = [Vector.unit(d, k) for k in range(d)]
+    out: list[Fraction] = []
+    for i, j, m in itertools.combinations(range(d), 3):
+        terms = [
+            t.bracket(Vector(t.entries[a][b]), unit[c])
+            for a, b, c in ((i, j, m), (j, m, i), (m, i, j))
+        ]
+        out.extend(x + y + z for x, y, z in zip(*terms))
+    return tuple(out)
 
 
-def jacobi_residual_adjoint(t: StructureTensor) -> Grid4:
+def jacobi_residual_adjoint(t: StructureTensor) -> tuple:
     """Jacobi residual assembled from adjoint matrices.
 
     For each ordered pair (i, j) the matrix
 
         sum_k adjoint_x(t)[i][j, k] * X_k  +  X_i X_j  -  X_j X_i
 
-    is the (i, j) slice of the residual; it agrees entrywise with
-    :func:`jacobi_residual`.  All ordered pairs are checked, including i == j.
-    Reference form used by tests; the library evaluates the index form.
+    is the (i, j) slice of the full residual grid, whose entry [i][j][m][n]
+    is coordinate n of the Jacobiator of (e_i, e_j, e_m).  All ordered pairs
+    are included, i == j too.  Reference form used by tests; the library
+    evaluates the independent entries, :func:`jacobi_residual`.
     """
     d = t.dim
     X = adjoint_x(t)
@@ -204,17 +203,13 @@ def jacobi_residual_adjoint(t: StructureTensor) -> Grid4:
     return tuple(out)
 
 
-def grid_max_abs(grid) -> Fraction:
-    """Max |entry| of an arbitrarily nested tuple/list of Fractions."""
-    if isinstance(grid, Fraction):
-        return abs(grid)
-    if isinstance(grid, (int,)):
-        return abs(Fraction(grid))
-    return max((grid_max_abs(g) for g in grid), default=Fraction(0))
+def grid_max_abs(entries: Iterable[Fraction]) -> Fraction:
+    """Max |entry| of a flat residual tuple (0 when it is empty)."""
+    return max((abs(x) for x in entries), default=Fraction(0))
 
 
-def grid_is_zero(grid) -> bool:
-    return grid_max_abs(grid) == 0
+def grid_is_zero(entries: Iterable[Fraction]) -> bool:
+    return grid_max_abs(entries) == 0
 
 
 def is_lie_algebra(t: StructureTensor) -> bool:

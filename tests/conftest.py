@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -39,6 +40,37 @@ def random_candidate(rng: random.Random, dim: int) -> JacobiLieBialgebra:
         random_vector(rng, dim),
         random_vector(rng, dim),
     )
+
+
+def expand_independent(entries, dim: int, groups: tuple[int, ...]) -> dict:
+    """Full residual grid, as {index: value}, from its independent entries.
+
+    ``groups`` gives the sizes of the index groups in the order of the flat
+    tuple ``entries``: a group of size r > 1 is antisymmetric and runs over
+    its increasing r-tuples in lexicographic order; a group of size 1 is a
+    free index.  At an increasing index the value is the flat entry itself;
+    at any other index it is the entry of the sorted index times the signs
+    of the sorting permutations, or zero when a group repeats an index.
+    """
+    keys = list(
+        itertools.product(*(itertools.combinations(range(dim), r) for r in groups))
+    )
+    assert len(entries) == len(keys)
+    position = {key: p for p, key in enumerate(keys)}
+    full = {}
+    for index in itertools.product(range(dim), repeat=sum(groups)):
+        parts, sign, start = [], 1, 0
+        for r in groups:
+            part = index[start:start + r]
+            start += r
+            if len(set(part)) < r:
+                sign = 0
+                break
+            inversions = sum(a > b for a, b in itertools.combinations(part, 2))
+            sign *= -1 if inversions % 2 else 1
+            parts.append(tuple(sorted(part)))
+        full[index] = sign * entries[position[tuple(parts)]] if sign else Fraction(0)
+    return full
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_antisymmetric, random_candidate, table_samples
+from conftest import expand_independent, random_antisymmetric, random_candidate, table_samples
 from jacobilie import (
     DimensionMismatchError,
     JacobiLieBialgebra,
@@ -26,7 +27,7 @@ from jacobilie.bialgebra import (
     orthogonality_residual,
     orthogonality_residual_adjoint,
 )
-from jacobilie.structure import grid_is_zero
+from jacobilie.structure import grid_is_zero, grid_max_abs
 
 
 def abelian_pair(alpha, beta, dim=2):
@@ -110,26 +111,52 @@ def oracle_candidates(rng, count):
 
 
 def test_mixed_forms_agree_on_arbitrary_inputs(rng):
-    # the adjoint-matrix form is the oracle for the index form verify uses
+    # the adjoint-matrix form is the oracle for the entries verify uses: each
+    # oracle entry is an independent entry (i < j, m < n), its antisymmetric
+    # image or zero, and verify reports the max |entry| of the oracle grid
     for b in oracle_candidates(rng, 60):
-        assert mixed_residual(b) == mixed_residual_adjoint(b)
+        d = b.dim
+        oracle = mixed_residual_adjoint(b)
+        full = expand_independent(mixed_residual(b), d, (2, 2))
+        for i, j, m, n in itertools.product(range(d), repeat=4):
+            assert full[i, j, m, n] == oracle[i][j][m][n]
+        worst = grid_max_abs(
+            oracle[i][j][m][n] for i, j, m, n in itertools.product(range(d), repeat=4)
+        )
+        assert verify(b).condition("mixed").residual == worst
 
 
 def test_compatibility_forms_sign_relation(rng):
     # the matrix forms of the orthogonality, compatibility and both cocycle
-    # conditions are oracles for the index forms verify uses
+    # conditions are oracles for the entries verify uses: every compatibility
+    # entry is independent; each cocycle oracle entry is minus an independent
+    # entry (m < n), minus its antisymmetric image, or zero; verify reports
+    # the max |entry| of each oracle
     for b in oracle_candidates(rng, 30):
         d = b.dim
         assert orthogonality_residual(b) == orthogonality_residual_adjoint(b)
-        loops = compatibility_residual(b)
+        loops = expand_independent(compatibility_residual(b), d, (1, 1))
         mat = compatibility_residual_adjoint(b)
-        cx, cx_m = cocycle_x0_residual(b), cocycle_x0_residual_adjoint(b)
-        cp, cp_m = cocycle_phi0_residual(b), cocycle_phi0_residual_adjoint(b)
+        cx = expand_independent(cocycle_x0_residual(b), d, (2,))
+        cx_m = cocycle_x0_residual_adjoint(b)
+        cp = expand_independent(cocycle_phi0_residual(b), d, (2,))
+        cp_m = cocycle_phi0_residual_adjoint(b)
         for r in range(d):
             for c in range(d):
-                assert mat[r, c] == -loops[c][r]
-                assert cx_m[r, c] == -cx[r][c]
-                assert cp_m[r, c] == -cp[r][c]
+                assert mat[r, c] == -loops[c, r]
+                assert cx_m[r, c] == -cx[r, c]
+                assert cp_m[r, c] == -cp[r, c]
+        report = verify(b)
+        assert report.condition("orthogonality").residual == abs(
+            orthogonality_residual_adjoint(b)
+        )
+        for name, oracle in (
+            ("compatibility", mat),
+            ("cocycle_x0", cx_m),
+            ("cocycle_phi0", cp_m),
+        ):
+            worst = grid_max_abs(x for row in oracle.rows for x in row)
+            assert report.condition(name).residual == worst
 
 
 def test_reduction_to_classical_forms(rng):

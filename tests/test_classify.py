@@ -1,5 +1,7 @@
+import json
 import logging
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,23 @@ def test_enumerate_zeros_small_grid():
         x, y = u.gstar[0, 1, 0], u.gstar[0, 1, 1]
         assert u.beta[0] == 0 and u.alpha[1] == 0
         assert u.beta[1] * x == 0 and u.alpha[0] == -u.beta[1] * y
+
+
+REFERENCE_JSON = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize(
+    "name, grid", [("A1", "grid_2d"), ("A2", "grid_2d"), ("II", "grid_3d"), ("III", "grid_3d")]
+)
+def test_enumerate_zeros_matches_reference_counts(name, grid):
+    # the counts come from an integer evaluator written independently of the
+    # library (perfbench/reference.py); every zero must also pass verify
+    reference = json.loads(REFERENCE_JSON.read_text())
+    values = tuple(Fraction(v) for v in reference[grid])
+    g = lookup(name)
+    zeros = enumerate_zeros(g, values)
+    assert len(zeros) == reference["zero_counts"][name]
+    assert all(verify(u.as_bialgebra(g)).passed for u in zeros)
 
 
 def test_classify_a1_rows():

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_antisymmetric, table_samples
+from conftest import expand_independent, random_antisymmetric, table_samples
 from jacobilie import (
+    JacobiLieBialgebra,
     StructureTensor,
+    Vector,
     adjoint_x,
     adjoint_y,
     is_lie_algebra,
     jacobi_residual,
     jacobi_residual_adjoint,
     lookup,
+    verify,
 )
 from jacobilie.structure import format_brackets, grid_is_zero, grid_max_abs
 
@@ -92,6 +95,13 @@ def test_jacobi_zero_for_parametrized(a):
     assert is_lie_algebra(lookup("VIIa", a).tensor)
 
 
+def jacobi_verify_residuals(t):
+    d = t.dim
+    b = JacobiLieBialgebra(t, t, Vector.zero(d), Vector.zero(d))
+    report = verify(b)
+    return report.condition("jacobi_g").residual, report.condition("jacobi_gstar").residual
+
+
 def test_jacobi_brute_force_oracle():
     # all three independent entries set to one: checked against an
     # independent triple-loop expansion of the cyclic identity, which
@@ -108,19 +118,34 @@ def test_jacobi_brute_force_oracle():
             total += f[j][k][n] * f[i][m][k]
         return total
 
+    # every brute-force entry: the Jacobiator entry at an increasing triple,
+    # its antisymmetric image at a permuted one, zero at a repeated index
     fast = jacobi_residual(t)
+    full = expand_independent(fast, d, (3, 1))
     for i, j, m, n in itertools.product(range(d), repeat=4):
-        assert fast[i][j][m][n] == brute(i, j, m, n)
+        assert full[i, j, m, n] == brute(i, j, m, n)
     assert grid_is_zero(fast)
+    worst = grid_max_abs(brute(*index) for index in itertools.product(range(d), repeat=4))
+    assert jacobi_verify_residuals(t) == (worst, worst)
 
 
 def test_jacobi_loop_matches_matrix_form(rng):
-    # the matrix form is the oracle for the index form that verify evaluates:
-    # random tensors, plus g and g* of the first sample of every table row
+    # the matrix form is the oracle for the Jacobiators that verify
+    # evaluates: random tensors, plus g and g* of the first sample of every
+    # table row; each oracle entry is a Jacobiator entry, its antisymmetric
+    # image or zero, and verify reports the max |entry| of the oracle grid
     tensors = [random_antisymmetric(rng, rng.choice((2, 3))) for _ in range(40)]
     tensors += [t for b in table_samples() for t in (b.g, b.gstar)]
     for t in tensors:
-        assert jacobi_residual(t) == jacobi_residual_adjoint(t)
+        d = t.dim
+        oracle = jacobi_residual_adjoint(t)
+        full = expand_independent(jacobi_residual(t), d, (3, 1))
+        for i, j, m, n in itertools.product(range(d), repeat=4):
+            assert full[i, j, m, n] == oracle[i][j][m][n]
+        worst = grid_max_abs(
+            oracle[i][j][m][n] for i, j, m, n in itertools.product(range(d), repeat=4)
+        )
+        assert jacobi_verify_residuals(t) == (worst, worst)
 
 
 def test_jacobi_detects_failure():

@@ -9,7 +9,7 @@ dimension 3 the driver runs in guided mode (the bundled table rows are
 confirmed by exact verification, and a grid enumeration exists for
 exploration).  Step 2 produces the basis-transformation matrix carrying the
 catalog form of the dual onto the solved form.  Step 3 reduces candidate
-families modulo the automorphism search, logging every Unknown verdict.
+families modulo equivalence, logging every Unknown verdict.
 """
 
 from __future__ import annotations
@@ -144,8 +144,10 @@ def enumerate_zeros(
     set or a limit.  Orthogonality and the phi0 cocycle depend on the
     cocycle vectors alone and are checked once per pair of them; the x0
     cocycle says that alpha annihilates every dual bracket, so each bracket
-    is drawn only from the grid vectors that alpha annihilates.  The full
-    test runs on the remaining candidates, in the order of the full grid.
+    is drawn only from the grid vectors that alpha annihilates.  The draw
+    thus zeroes three of the six conditions; each remaining candidate is
+    tested on the other three, cheapest first (compatibility, mixed, dual
+    Jacobi), in the order of the full grid.
     """
     t = g.tensor if isinstance(g, LieAlgebra) else g
     d = t.dim
@@ -162,7 +164,10 @@ def enumerate_zeros(
             u = UnknownAssignment.from_free_entries(
                 d, [x for row in dual for x in row], alpha, beta
             )
-            if residual_system_is_zero(t, u):
+            b = u.as_bialgebra(t)
+            if any(compatibility_residual(b)) or any(mixed_residual(b)):
+                continue
+            if not any(jacobi_residual(b.gstar)):
                 out.append(u)
                 if limit is not None and len(out) >= limit:
                     return out
@@ -400,12 +405,13 @@ def step3_reduce(
     families: list[SolutionFamily],
     region: SearchRegion | None = None,
 ) -> tuple[list[SolutionFamily], list[str]]:
-    """Reduce candidate families modulo the automorphism witness search.
+    """Reduce candidate families modulo equivalence (:func:`search_witness`).
 
     Exact duplicates and families whose sampled instances are all pairwise
-    equivalent collapse to the first representative.  The search is sound but
-    incomplete, so families with Unknown verdicts are kept distinct and the
-    verdicts logged ("presumed distinct", never "proved distinct").
+    equivalent collapse to the first representative.  Any other family is
+    kept: proved distinct when its verdicts are Inequivalent, presumed
+    distinct when the decision fell back to the grid search and returned
+    Unknown.  Only Unknown verdicts are logged; for A1 and A2 there are none.
     """
     region = region or SearchRegion()
     kept: list[SolutionFamily] = []
@@ -429,7 +435,7 @@ def step3_reduce(
                 b2 = prev.instantiate(tprev).as_bialgebra(g)
                 verdict = search_witness(b1, b2, region)
                 verdicts.append(verdict if verdict.equivalent else None)
-                if not verdict.equivalent:
+                if not (verdict.equivalent or verdict.inequivalent):
                     log.append(
                         f"Unknown: {g.name} candidate at {t} vs earlier family "
                         f"(searched {verdict.searched})"

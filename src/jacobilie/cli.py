@@ -101,6 +101,7 @@ def _cmd_equiv(args) -> int:
     verdict = search_witness(b1, b2, region)
     payload = {
         "equivalent": verdict.equivalent,
+        "inequivalent": verdict.inequivalent,
         "searched": verdict.searched,
         "witness": [[format_fraction(x) for x in row] for row in verdict.witness.rows]
         if verdict.witness
@@ -111,6 +112,8 @@ def _cmd_equiv(args) -> int:
     elif verdict.equivalent:
         print("equivalent; witness automorphism:")
         print("\n".join(_matrix_lines(verdict.witness)))
+    elif verdict.inequivalent:
+        print(f"inequivalent (proved: {verdict.searched})")
     else:
         print(f"unknown (searched {verdict.searched})")
     return OK if verdict.equivalent else FAILURE
@@ -218,10 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("equiv", help="search for an equivalence witness between two documents")
+    p = sub.add_parser("equiv", help="decide whether two documents are equivalent")
     p.add_argument("document1")
     p.add_argument("document2")
-    p.add_argument("--grid", type=int, default=3, help="numerator bound of the search grid")
+    p.add_argument("--grid", type=int, default=3,
+                   help="numerator bound of the fallback search grid")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_equiv)
 

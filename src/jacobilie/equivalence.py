@@ -3,8 +3,11 @@
 ``transform`` implements the pushforward of a candidate along an automorphism
 A of g: the dual tensor is conjugated by the inverse-transpose action, the
 element components by A^{-t}, the 1-form components by A.  ``search_witness``
-looks for a witness automorphism on a rational parameter grid (sound but not
-complete: it never asserts inequivalence).  ``identify_dual`` matches a dual
+decides equivalence: two candidates whose duals are identified by
+``identify_dual`` are proved equivalent (a validated witness) or inequivalent
+by exact linear algebra on Aut(g) x Aut(g*); where that decision does not
+apply it searches a rational parameter grid, whose Unknown asserts nothing.
+``identify_dual`` matches a dual
 tensor against the catalog up to isomorphism.  For solvable duals it builds
 the exact invertible change of basis from the invariants (g = n + R*x with n
 an abelian ideal containing [g,g]) or proves that no rational one exists;
@@ -13,6 +16,7 @@ simple duals are matched in their catalog presentation only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +31,7 @@ from .catalog import (
     lookup,
 )
 from .exprs import eval_expr, eval_predicate, parse_expr
-from .linalg import Matrix, Vector, rational_sqrt, solve_affine
+from .linalg import Matrix, Vector, format_fraction, rational_sqrt, solve_affine
 from .structure import StructureTensor, adjoint_x, is_lie_algebra
 
 
@@ -136,14 +140,21 @@ class SearchRegion:
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    """Either Equivalent with a validated witness, or Unknown.
+    """Equivalent, Inequivalent or Unknown.
 
-    The search is sound but not complete, so Unknown never asserts
-    inequivalence; ``searched`` records the region that was exhausted.
+    Equivalent: ``witness`` is an automorphism of g that passed
+    :func:`is_equivalent_witness`.  Inequivalent (``inequivalent`` True): no
+    real automorphism carries one candidate to the other, and ``searched``
+    names the proof, either the differing dual classes or, per branch pair,
+    an inconsistent linear system or a product of det and constraints that
+    vanishes on its whole solution space.  Unknown (neither): ``searched``
+    records the grid region that was exhausted without a witness; it asserts
+    nothing about equivalence.
     """
 
     witness: Matrix | None
     searched: str
+    inequivalent: bool = False
 
     @property
     def equivalent(self) -> bool:
@@ -155,12 +166,20 @@ def search_witness(
     b2: JacobiLieBialgebra,
     region: SearchRegion | None = None,
 ) -> EquivalenceVerdict:
-    """Search the automorphism family of the shared g for an exact witness.
+    """Decide whether an automorphism of the shared g carries b1 onto b2.
 
-    Enumerates all branches over the region's rational grid in a fixed
-    simplest-first order and returns the first witness found; every returned
-    witness passes :func:`is_equivalent_witness` (a grid witness that fails
-    it raises :class:`SoundnessCheckError`).
+    The identity and the region's seeds are tried first.  Then, when both
+    duals are Lie algebras identified by :func:`identify_dual`, the pair is
+    decided by exact linear algebra on Aut(g) x Aut(g*) (see
+    :func:`_decide`): different dual classes, or no admissible point on any
+    branch pair, prove the pair inequivalent; otherwise the witness is built
+    from the solution space.  The rational grid of ``region`` is searched
+    only when that decision does not apply: a dual that is not a Lie algebra
+    or has no constructed change of basis, a predicate-only group (VIII, IX)
+    on either side, or a consistent system relaxed at a quadratic template
+    entry (II) on which no witness was found.  Only then can the verdict be
+    Unknown.  Every returned witness passes :func:`is_equivalent_witness`;
+    one that fails it raises :class:`SoundnessCheckError`.
     """
     if b1.g != b2.g:
         raise ValueError("witness search requires both candidates to share g")
@@ -177,6 +196,10 @@ def search_witness(
                 return EquivalenceVerdict(seed, "seed candidate")
         except (ValueError, CatalogError):
             continue
+
+    decided = _decide(b1, b2, family)
+    if decided is not None:
+        return decided
 
     if family.predicate_only:
         # no closed-form template to enumerate; seeds were the whole region
@@ -209,6 +232,306 @@ def search_witness(
                     raise SoundnessCheckError(f"grid witness {A.rows} fails validation")
                 return EquivalenceVerdict(A, f"branch {branch_idx} of {region.describe(family)}")
     return EquivalenceVerdict(None, region.describe(family))
+
+
+def _degree(node, names) -> int:
+    """Degree of a parsed template expression in the parameters ``names``:
+    exact for sums and products of parameters, which is all the catalog
+    templates and constraints use (an upper bound in general)."""
+    kind = node[0]
+    if kind == "num":
+        return 0
+    if kind == "var":
+        return int(node[1] in names)
+    if kind == "neg":
+        return _degree(node[1], names)
+    if kind in ("add", "sub"):
+        return max(_degree(node[1], names), _degree(node[2], names))
+    if kind == "mul":
+        return _degree(node[1], names) + _degree(node[2], names)
+    if kind == "div" and _degree(node[2], names) == 0:
+        return _degree(node[1], names)
+    raise ValueError(f"template expression {node!r} is not a polynomial")
+
+
+@functools.cache
+def _linear_template(name: str, branch: int):
+    """One automorphism branch as affine forms, built on first use.
+
+    Returns (forms, polys, quadratic): ``forms[i][j]`` is (constant,
+    coefficients over the family parameters) for an entry of degree at most
+    1 and None for one of degree 2 (II's b*f - c*e), whose parse trees are
+    ``quadratic`` in row-major order; ``polys`` are the constraints
+    ``l != r`` as parsed polynomials l - r that must not vanish.
+    """
+    family = automorphism_family(name)
+    br = family.branches[branch]
+    zero = dict.fromkeys(family.params, Fraction(0))
+    forms = []
+    quadratic = []
+    for row in br.template:
+        out = []
+        for text in row:
+            node = parse_expr(text)
+            degree = _degree(node, family.params)
+            if degree > 2:
+                raise ValueError(f"{name} template entry {text!r} is not quadratic")
+            if degree == 2:
+                out.append(None)
+                quadratic.append(node)
+                continue
+            c = eval_expr(node, zero)
+            out.append((c, tuple(eval_expr(node, {**zero, p: Fraction(1)}) - c for p in family.params)))
+        forms.append(tuple(out))
+    polys = []
+    for text in br.constraints:
+        node = parse_expr(text)
+        if node[0] != "cmp" or node[1] != "!=":
+            raise ValueError(f"{name} constraint {text!r} is not an inequation")
+        polys.append(("sub", node[2], node[3]))
+    return tuple(forms), tuple(polys), tuple(quadratic)
+
+
+def _affine_matrix(forms, offset: int, fresh: int, n: int) -> list[list[list[Fraction]]]:
+    """Template entries as affine forms over n unknowns (coefficients, then
+    the constant): parameters from ``offset``, and each non-affine entry a
+    fresh unknown from ``fresh`` on."""
+    out = []
+    for row in forms:
+        out_row = []
+        for entry in row:
+            v = [Fraction(0)] * (n + 1)
+            if entry is None:
+                v[fresh] = Fraction(1)
+                fresh += 1
+            else:
+                v[n] = entry[0]
+                v[offset:offset + len(entry[1])] = entry[1]
+            out_row.append(v)
+        out.append(out_row)
+    return out
+
+
+def _decide(
+    b1: JacobiLieBialgebra, b2: JacobiLieBialgebra, family: catalog.AutomorphismFamily
+) -> EquivalenceVerdict | None:
+    """Exact decision on Aut(g) x Aut(g*), or None where it does not apply.
+
+    A witness A is an automorphism of g (A = P_g(p) on a branch of the
+    template of g) that maps g*1 isomorphically onto g*2 (see
+    :func:`transform_tensor`) with A^t alpha2 = alpha1 and A beta1 = beta2.
+    With C_i^t an isomorphism from the catalog tensor T onto g*i
+    (:func:`identify_dual`), the middle condition says A = C2^t s C1^-t for
+    an automorphism s = P_T(q)^t of T.  Per branch pair of the two templates
+    all of this is one linear system in (p, q), solved exactly.  On its
+    solution space the product F of det P_g and the branch constraints of g
+    must not vanish; the constraints of T need no check, because each
+    catalog constraint holds exactly where its template is invertible, and
+    P_T(q) is invertible with A.  F vanishes identically exactly when it
+    vanishes on a finite grid (:func:`_nonvanishing_point`).  A non-affine
+    template entry is relaxed to a fresh unknown: an inconsistent relaxed
+    system is still a proof; on a consistent one a witness is looked for
+    along lines of its solution space (:func:`_quadric_point`), and when none
+    is found the decision returns None (grid fallback).
+
+    The verdict is sound because each template is all of Aut(.) (checked by
+    the template completeness tests of ``tests/test_catalog.py``).
+    """
+    try:
+        id1, id2 = identify_dual(b1.gstar), identify_dual(b2.gstar)
+    except (ValueError, NoCatalogMatch):  # not a Lie algebra, or no C constructed
+        return None
+    if (id1.name, id1.param) != (id2.name, id2.param):
+        return EquivalenceVerdict(
+            None, f"duals not isomorphic: {_class_label(id1)} vs {_class_label(id2)}", True
+        )
+    dual_family = automorphism_family(id1.name)
+    if family.predicate_only or dual_family.predicate_only:
+        return None
+    d = b1.dim
+    C2 = id2.change_of_basis
+    C1inv = id1.change_of_basis.inverse()
+    m = family.n_params()
+    groups = f"{family.algebra} x {dual_family.algebra}"
+    proofs = []
+    relaxed = False
+    for gi, ti in itertools.product(
+        range(len(family.branches)), range(len(dual_family.branches))
+    ):
+        g_forms, polys, g_quad = _linear_template(family.algebra, gi)
+        t_forms, _, t_quad = _linear_template(dual_family.algebra, ti)
+        fg, ft = len(g_quad), len(t_quad)
+        n = m + fg + dual_family.n_params() + ft
+        G = _affine_matrix(g_forms, 0, m, n)
+        T = _affine_matrix(t_forms, m + fg, n - ft, n)
+        eqs = []
+        for i in range(d):
+            for j in range(d):
+                # G_ij - (C2^t P_T^t C1^-t)_ij
+                e = G[i][j]
+                for a in range(d):
+                    for b in range(d):
+                        w = C2[a, i] * C1inv[j, b]
+                        if w:
+                            e = [x - w * y for x, y in zip(e, T[b][a])]
+                eqs.append(e)
+        for j in range(d):  # (P_g^t alpha2)_j = alpha1_j
+            e = [Fraction(0)] * n + [-b1.alpha[j]]
+            for i in range(d):
+                if b2.alpha[i]:
+                    e = [x + b2.alpha[i] * y for x, y in zip(e, G[i][j])]
+            eqs.append(e)
+        for i in range(d):  # (P_g beta1)_i = beta2_i
+            e = [Fraction(0)] * n + [-b2.beta[i]]
+            for j in range(d):
+                if b1.beta[j]:
+                    e = [x + b1.beta[j] * y for x, y in zip(e, G[i][j])]
+            eqs.append(e)
+        solution = solve_affine([e[:n] for e in eqs], [-e[n] for e in eqs])
+        label = f"({gi}, {ti})"
+        if solution is None:
+            proofs.append(f"{label} inconsistent")
+            continue
+        if fg or ft:
+            # each relaxed unknown must equal its quadratic entry
+            quadrics = [(m + k, node, 0, family.params) for k, node in enumerate(g_quad)]
+            quadrics += [
+                (n - ft + k, node, m + fg, dual_family.params) for k, node in enumerate(t_quad)
+            ]
+            A = _quadric_point(G, polys, family.params, quadrics, *solution)
+            if A is None:
+                relaxed = True
+                continue
+        else:
+            A = _nonvanishing_point(g_forms, polys, family.params, *solution)
+            if A is None:
+                proofs.append(f"{label} det*constraints vanish identically")
+                continue
+        if not is_equivalent_witness(b1, b2, A):
+            raise SoundnessCheckError(f"constructed witness {A.rows} fails validation")
+        return EquivalenceVerdict(A, f"linear system on branch pair {label} of {groups}")
+    if relaxed:
+        return None
+    return EquivalenceVerdict(None, f"branch pairs of {groups}: " + ", ".join(proofs), True)
+
+
+def _grid_points(bounds: list[int]):
+    """The points of {0..D_1} x ... x {0..D_r}, by increasing coordinate sum."""
+
+    def with_sum(k: int, s: int):
+        if k == len(bounds):
+            if s == 0:
+                yield ()
+            return
+        rest = sum(bounds[k + 1:])
+        for x in range(max(0, s - rest), min(bounds[k], s) + 1):
+            for tail in with_sum(k + 1, s - x):
+                yield (x, *tail)
+
+    for s in range(sum(bounds) + 1):
+        yield from with_sum(0, s)
+
+
+def _nonvanishing_point(g_forms, polys, params, particular, basis) -> Matrix | None:
+    """P_g at the first grid point of the solution space where det P_g and
+    every constraint polynomial are nonzero, or None when their product F
+    vanishes identically there.
+
+    Only the parameter part of the solution space moves P_g, so the point is
+    x0 + sum t_k v_k over a basis v_k of that part.  The degree of det P_g in
+    t_k is at most the number of rows (and of columns) that t_k moves; that
+    of a constraint is read off its parse tree.  With D_k the bound on the
+    degree of F in t_k, F vanishes identically exactly when it vanishes on
+    {0..D_1} x ... x {0..D_r} (Combinatorial Nullstellensatz, Alon 1999), so
+    that grid is searched, simplest point first.
+    """
+    m = len(params)
+    d = len(g_forms)
+
+    def lin(coeffs, x):
+        return sum((a * b for a, b in zip(coeffs, x) if a), Fraction(0))
+
+    x0 = particular[:m]
+    dirs = _reduced_basis([v[:m] for v in basis])
+    base = [[c + lin(coeffs, x0) for c, coeffs in row] for row in g_forms]
+    moves = [[[lin(coeffs, v) for _, coeffs in row] for row in g_forms] for v in dirs]
+    degrees = []
+    for v, move in zip(dirs, moves):
+        rows = sum(any(row) for row in move)
+        cols = sum(any(move[i][j] for i in range(d)) for j in range(d))
+        names = {p for p, c in zip(params, v) if c}
+        degrees.append(min(rows, cols) + sum(_degree(poly, names) for poly in polys))
+    for t in _grid_points(degrees):
+        A = Matrix(
+            [base[i][j] + sum((tk * mv[i][j] for tk, mv in zip(t, moves) if tk), Fraction(0))
+             for j in range(d)]
+            for i in range(d)
+        )
+        if A.det() == 0:
+            continue
+        env = {
+            p: x0[l] + sum((tk * v[l] for tk, v in zip(t, dirs) if tk), Fraction(0))
+            for l, p in enumerate(params)
+        }
+        if all(eval_expr(poly, env) != 0 for poly in polys):
+            return A
+    return None
+
+
+def _quadric_point(G, polys, params, quadrics, particular, basis) -> Matrix | None:
+    """P_g at a point of the relaxed solution space where every relaxed
+    unknown equals its quadratic template entry and det P_g and the
+    constraints of g are nonzero; None when none is found.
+
+    The lines tried are the axis lines of the solution space through the
+    points of {0, 1}^r with at most two ones.  On each, the first relaxed
+    condition that does not vanish on the whole line has degree at most 2;
+    its rational roots are the candidate points.  This is a search, not a
+    decision: a point may lie off these lines, or only at irrational values.
+    """
+    n = len(particular)
+    d = len(G)
+    r = len(basis)
+
+    def relaxed_residuals(z):
+        for fresh, node, offset, names in quadrics:
+            env = {p: z[offset + l] for l, p in enumerate(names)}
+            yield z[fresh] - eval_expr(node, env)
+
+    def candidates(z0, v):
+        """Rational roots on z0 + s v of the first relaxed condition that
+        does not vanish on the whole line (a few points when all do)."""
+        along = [[x + s * y for x, y in zip(z0, v)] for s in (0, 1, -1)]
+        for h0, h1, h2 in zip(*map(relaxed_residuals, along)):
+            a, b = (h1 + h2) / 2 - h0, (h1 - h2) / 2
+            if a:
+                root = rational_sqrt(b * b - 4 * a * h0)
+                return () if root is None else ((-b + root) / (2 * a), (-b - root) / (2 * a))
+            if b or h0:
+                return (-h0 / b,) if b else ()
+        return range(d + 3)
+
+    for t in itertools.islice(_grid_points([1] * r), 1 + r + r * (r - 1) // 2):
+        z0 = list(particular)
+        for tk, v in zip(t, basis):
+            if tk:
+                z0 = [x + y for x, y in zip(z0, v)]
+        for v in basis:
+            for s in candidates(z0, v):
+                z = [x + s * y for x, y in zip(z0, v)]
+                if any(relaxed_residuals(z)):
+                    continue
+                A = Matrix(
+                    [sum((a * b for a, b in zip(e, z) if a), e[n]) for e in row] for row in G
+                )
+                env = {p: z[l] for l, p in enumerate(params)}
+                if A.det() != 0 and all(eval_expr(poly, env) != 0 for poly in polys):
+                    return A
+    return None
+
+
+def _class_label(ident: DualIdentification) -> str:
+    return ident.name if ident.param is None else f"{ident.name}(a={format_fraction(ident.param)})"
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +580,28 @@ def change_of_basis_residual(
 def _derived_span(t: StructureTensor) -> list[Vector]:
     """Exact basis (reduced) of the span of all bracket values."""
     d = t.dim
-    rows: list[list[Fraction]] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = [t.entries[i][j][k] for k in range(d)]
-            if any(x != 0 for x in v):
-                rows.append(v)
+    return [
+        Vector(b)
+        for b in _reduced_basis(
+            [t.entries[i][j][k] for k in range(d)] for i in range(d) for j in range(i + 1, d)
+        )
+    ]
+
+
+def _reduced_basis(rows) -> list[list[Fraction]]:
+    """A basis of the span of ``rows``, each row reduced against the
+    earlier basis rows at their leading entries."""
     basis: list[list[Fraction]] = []
     for v in rows:
-        v = v[:]
+        v = list(v)
         for b in basis:
-            lead = next(k for k in range(d) if b[k] != 0)
+            lead = next(k for k, x in enumerate(b) if x != 0)
             if v[lead] != 0:
                 factor = v[lead] / b[lead]
                 v = [a - factor * c for a, c in zip(v, b)]
         if any(x != 0 for x in v):
             basis.append(v)
-    return [Vector(b) for b in basis]
+    return basis
 
 
 def _in_span(v: Vector, basis: list[Vector]) -> bool:

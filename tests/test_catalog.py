@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from jacobilie import (
     lookup,
 )
 from jacobilie.catalog import canonical_name, identify_presentation
+from jacobilie.equivalence import _derived_span, _split
+from jacobilie.linalg import solve_affine
 
 
 def matrix_form_is_automorphism(g, A) -> bool:
@@ -207,3 +210,72 @@ def test_transposed_membership():
 def test_automorphism_samples_deterministic():
     assert automorphism_samples("III", count=5) == automorphism_samples("III", count=5)
     assert automorphism_samples("VIII") == automorphism_samples("VIII")
+
+
+# ---------------------------------------------------------------------------
+# template completeness: an Inequivalent verdict of the exact equivalence
+# decision is sound only if each template is all of Aut(g)
+# ---------------------------------------------------------------------------
+
+TEMPLATED = [
+    ("A1", None), ("A2", None), ("I", None), ("II", None), ("III", None), ("IV", None),
+    ("V", None), ("VI0", None), ("VIa", Fraction(2)), ("VIa", Fraction(1, 3)),
+    ("VII0", None), ("VIIa", Fraction(3, 2)),
+]
+
+
+def _derivation_dimension(t) -> int:
+    """dim Der(g): D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j], linear in the
+    d^2 entries D[a][b] (D e_b = sum_a D[a][b] e_a)."""
+    d = t.dim
+    f = t.entries
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(d):
+                row = [Fraction(0)] * (d * d)
+                for l in range(d):
+                    row[k * d + l] += f[i][j][l]
+                    row[l * d + i] -= f[l][j][k]
+                    row[l * d + j] -= f[i][l][k]
+                rows.append(row)
+    return len(solve_affine(rows, [0] * len(rows))[1])
+
+
+@pytest.mark.parametrize("name,param", TEMPLATED)
+def test_template_dimension_equals_derivation_dimension(name, param):
+    assert _derivation_dimension(lookup(name, param).tensor) == automorphism_family(name).n_params()
+
+
+def _has_invertible_solution(M, lam) -> bool:
+    """Whether P M = lam M P has an invertible solution P.  det P has degree
+    at most k in each coordinate of the solution space, so it vanishes there
+    identically iff it vanishes on {0..k}^r (Combinatorial Nullstellensatz)."""
+    k = M.dim
+    rows = []
+    for i in range(k):
+        for j in range(k):
+            row = [Fraction(0)] * (k * k)
+            for l in range(k):
+                row[i * k + l] += M[l, j]
+                row[l * k + j] -= lam * M[i, l]
+            rows.append(row)
+    _, basis = solve_affine(rows, [0] * len(rows))
+    for coeffs in itertools.product(range(k + 1), repeat=len(basis)):
+        flat = [sum(c * v[x] for c, v in zip(coeffs, basis)) for x in range(k * k)]
+        if Matrix([flat[i * k:(i + 1) * k] for i in range(k)]).det() != 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "name,param",
+    [(n, p) for n, p in TEMPLATED if n not in ("A1", "I", "II")],
+)
+def test_template_branches_match_split(name, param):
+    # g = n + R*x: an automorphism maps x to lam*x + n and acts on n by P with
+    # P M = lam M P (M = ad x on n), and tr and det of M force lam = +-1
+    t = lookup(name, param).tensor
+    M = _split(t, _derived_span(t)).M
+    count = sum(_has_invertible_solution(M, lam) for lam in (1, -1))
+    assert count == len(automorphism_family(name).branches)

@@ -308,8 +308,8 @@ def test_verify_tables_reports_failures():
 
 def test_epsilon_values_stay_distinct_under_reduction():
     # the two listed discrete values of the sign parameter give inequivalent
-    # candidates: the search exhausts its region without a witness and the
-    # reduction keeps both representatives
+    # candidates: the decision proves it and the reduction keeps both
+    # representatives without logging an Unknown verdict
     row = next(
         r for r in load_table_rows(6)
         if r.g_name == "VI0" and r.gstar_label == "VI0.ii"
@@ -318,7 +318,7 @@ def test_epsilon_values_stay_distinct_under_reduction():
     b2 = row.instantiate({"eps": Fraction(-2)})
     assert verify(b1).passed and verify(b2).passed
     verdict = search_witness(b1, b2)
-    assert not verdict.equivalent
+    assert verdict.inequivalent and not verdict.equivalent
 
     def family_at(eps):
         u1 = row.instantiate({"eps": eps})
@@ -333,7 +333,7 @@ def test_epsilon_values_stay_distinct_under_reduction():
 
     kept, log = step3_reduce(lookup("VI0"), [family_at(Fraction(1)), family_at(Fraction(-2))])
     assert len(kept) == 2
-    assert log  # the Unknown verdict is recorded
+    assert log == []  # proved distinct, so no Unknown verdict is recorded
 
 
 def test_table6_frozen_sample_values():

@@ -12,6 +12,7 @@ from jacobilie import (
     StructureTensor,
     Vector,
     automorphism_sample,
+    automorphism_samples,
     document_from_bialgebra,
     lookup,
     serialize_document,
@@ -123,7 +124,26 @@ def test_equiv_unknown_pair(tmp_path, capsys):
     d1 = write_doc(tmp_path, "one.json", b1, g_name="A2")
     d2 = write_doc(tmp_path, "two.json", b2, g_name="A2")
     assert main(["equiv", d1, d2, "--grid", "2"]) == 1
-    assert "unknown" in capsys.readouterr().out
+    assert "inequivalent (proved: " in capsys.readouterr().out
+    assert main(["equiv", d1, d2, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["inequivalent"] is True and payload["equivalent"] is False
+
+
+def test_equiv_predicate_only_pair_stays_unknown(tmp_path, capsys):
+    # IX has no closed-form automorphism template, so the decision does not
+    # apply and the seeds-only search answers unknown, even for a pushforward
+    b1 = JacobiLieBialgebra(
+        lookup("IX").tensor, StructureTensor.zero(3), Vector([0, 0, 0]), Vector([0, 1, 0])
+    )
+    b2 = transform(b1, automorphism_samples("IX")[0])
+    d1 = write_doc(tmp_path, "one.json", b1, g_name="IX")
+    d2 = write_doc(tmp_path, "two.json", b2, g_name="IX")
+    assert main(["equiv", d1, d2]) == 1
+    assert capsys.readouterr().out.startswith("unknown (searched IX: predicate-only")
+    assert main(["equiv", d1, d2, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equivalent"] is False and payload["inequivalent"] is False
 
 
 @pytest.mark.parametrize("grid", ["0", "-1"])

@@ -1,20 +1,27 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import ENTRY_POOL, random_antisymmetric
 
 from jacobilie import (
+    ConstraintError,
     JacobiLieBialgebra,
     Matrix,
     NoCatalogMatch,
     NotAutomorphismError,
     SearchRegion,
+    SingularMatrixError,
     SoundnessCheckError,
     StructureTensor,
     Vector,
+    automorphism_family,
     automorphism_sample,
+    automorphism_samples,
     change_of_basis_residual,
     identify_dual,
     is_equivalent_witness,
@@ -142,16 +149,16 @@ def test_search_scaling_collapses_unnormalized_solutions():
 
 def test_search_distinct_invariant_values_stay_unknown():
     # the cocycle scale is an equivalence invariant of the normalized family,
-    # so distinct values exhaust the region without a witness
+    # so distinct values are proved inequivalent
     verdict = search_witness(a2_row(1), a2_row(2))
-    assert not verdict.equivalent
+    assert verdict.inequivalent and not verdict.equivalent
     assert "A2" in verdict.searched
 
 
 def test_search_distinct_table6_rows_unknown():
     # the two bundled rows over the same dual that differ only in the element
-    # cocycle: the searched region is exhausted without a witness, which the
-    # catalog records as distinct classes
+    # cocycle are proved inequivalent, as the catalog records them as
+    # distinct classes
     rows = [
         r for r in load_table_rows(6)
         if r.gstar_label == "III.ii" and r.g_name == "III"
@@ -159,7 +166,7 @@ def test_search_distinct_table6_rows_unknown():
     assert len(rows) == 2
     b1, b2 = (r.instantiate({}) for r in rows)
     verdict = search_witness(b1, b2)
-    assert not verdict.equivalent
+    assert verdict.inequivalent and not verdict.equivalent
 
 
 def test_search_seeds_are_validated_not_trusted():
@@ -490,3 +497,71 @@ def test_change_of_basis_residual_matches_adjoint_form_on_table_duals(rng):
             )
         count += 1
     assert count == 258
+
+
+# ---------------------------------------------------------------------------
+# oracles for the exact decision on Aut(g) x Aut(g*)
+# ---------------------------------------------------------------------------
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _pushes(name):
+    """The catalog automorphism samples of ``name`` and one automorphism with
+    a parameter (7/3) outside the default search grid."""
+    params = automorphism_family(name).params
+    for p in params:
+        assignment = {q: Fraction(7, 3) if q == p else k for k, q in enumerate(params)}
+        try:
+            outside = automorphism_sample(name, 0, assignment)
+            break
+        except (ConstraintError, SingularMatrixError):
+            continue
+    return [*automorphism_samples(name), outside]
+
+
+def test_search_decides_known_equivalent_table_pairs():
+    # every admissible table sample whose g has an affine template, pushed
+    # along automorphisms inside and outside the grid, gets a witness
+    pairs = 0
+    for row in load_table_rows():
+        for assignment, admissible in row.sample_assignments():
+            name = row.algebra(assignment).name
+            if not admissible or name in ("II", "VIII", "IX"):
+                continue
+            b = row.instantiate(assignment)
+            for A in _pushes(name):
+                moved = transform(b, A)
+                verdict = search_witness(b, moved)
+                assert verdict.equivalent, (row, assignment, A.rows, verdict.searched)
+                assert is_equivalent_witness(b, moved, verdict.witness)
+                pairs += 1
+    assert pairs > 1000
+
+
+def _witness_search_ops(seed):
+    # load the benchmark's workload module by path, as a plain module
+    sys.path.insert(0, str(WORKLOADS_PY.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        return module.witness_search(seed).ops
+    finally:
+        sys.path.remove(str(WORKLOADS_PY.parent))
+        sys.modules.pop("perfbench_workloads", None)
+
+
+def test_witness_search_pairs_are_decided():
+    # the benchmark's pairs at seed 1: witnesses inside (a) and outside (b)
+    # the grid are found, and no pair of distinct rows (c) stays Unknown
+    ops = _witness_search_ops(1)
+    assert len(ops) == 27
+    for op in ops:
+        b1, b2, verdict = op.call()
+        if op.kind in ("a", "b"):
+            assert verdict.equivalent, op.label
+            assert is_equivalent_witness(b1, b2, verdict.witness)
+        else:
+            assert verdict.equivalent or verdict.inequivalent, op.label
